@@ -37,13 +37,14 @@ class DefiningFunction:
 
     def __post_init__(self):
         self.gradient = [fx.differentiate(self.expr, i) for i in range(self.chart.n)]
+        self._value_tape = fx.compile_tape([self.expr])
+        self._grad_tape = fx.compile_tape(self.gradient)
 
     def value(self, x):
-        return fx.evaluate(self.expr, x)
+        return fx.evaluate(self._value_tape, x)[0]
 
     def grad(self, x):
-        memo = {}
-        return np.array([fx.evaluate(g, x, memo) for g in self.gradient])
+        return np.array(fx.evaluate(self._grad_tape, x))
 
     def field(self):
         return geo.scalar_from_expr(self.chart, self.expr, 0.0, "rho")

@@ -91,10 +91,7 @@ def validate_config(raw):
     if rho_text is not None:
         if not isinstance(rho_text, str):
             raise ConfigError("'rho' must be an expression string")
-        try:
-            cfg["rho_expr"] = fx.parse_expression(rho_text, chart)
-        except fx.ParseError as err:
-            raise ConfigError(f"'rho' does not parse: {err}")
+        cfg["rho_expr"] = _parse_expr(rho_text, chart, "'rho'")
 
     metric = raw.get("metric", "from-rho")
     if metric == "from-rho":
@@ -121,24 +118,55 @@ def validate_config(raw):
     for p in points:
         if not isinstance(p, list) or len(p) != chart.n:
             raise ConfigError(f"patch points must have length {chart.n}")
-    cfg["patch_points"] = [np.array(p, dtype=float) for p in points]
+    cfg["patch_points"] = [_number(p, _float_vector, "patch point coordinates")
+                           for p in points]
 
     sched = raw.get("schedule", {})
-    cfg["t0"] = float(sched.get("t0", 0.1))
-    cfg["K"] = int(sched.get("K", 8))
-    cfg["order"] = int(sched.get("order", 3))
+    if not isinstance(sched, dict):
+        raise ConfigError("'schedule' must be {\"t0\": ..., \"K\": ..., \"order\": ...}")
+    cfg["t0"] = _number(sched.get("t0", 0.1), float, "'schedule.t0'")
+    cfg["K"] = _number(sched.get("K", 8), int, "'schedule.K'")
+    cfg["order"] = _number(sched.get("order", 3), int, "'schedule.order'")
     if cfg["K"] < cfg["order"] + 1:
         raise ConfigError("schedule needs K >= order + 1")
 
     tols = dict(DEFAULT_TOLERANCES)
-    for key, val in (raw.get("tolerances") or {}).items():
+    overrides = raw.get("tolerances") or {}
+    if not isinstance(overrides, dict):
+        raise ConfigError("'tolerances' must be an object of named tolerances")
+    for key, val in overrides.items():
         if key not in tols:
             raise ConfigError(f"unknown tolerance key {key!r}")
-        tols[key] = float(val)
+        tols[key] = _number(val, float, f"tolerance {key!r}")
     cfg["tolerances"] = tols
-    cfg["seed"] = int(raw.get("seed", 1234))
+    cfg["seed"] = _number(raw.get("seed", 1234), int, "'seed'")
     cfg["raw"] = raw
     return cfg
+
+
+def _number(value, convert, what):
+    """convert(value) for a numeric config entry; a value it rejects is a
+    config error, not a runtime one."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what} must be numeric, got {value!r}") from None
+
+
+def _float_vector(values):
+    return np.array([float(v) for v in values])
+
+
+def _parse_expr(text, names, what):
+    """Parse a config expression.  Constant folding evaluates constant
+    subexpressions, so a constant outside its domain (1/0, log(0-1)) is
+    reported here as a config error."""
+    try:
+        return fx.parse_expression(text, names)
+    except fx.ParseError as err:
+        raise ConfigError(f"{what} does not parse: {err}") from None
+    except ArithmeticError as err:
+        raise ConfigError(f"{what} has a constant outside its domain: {err}") from None
 
 
 def _parse_expr_matrix(rows, chart, what):
@@ -149,10 +177,7 @@ def _parse_expr_matrix(rows, chart, what):
     comps = np.empty((n, n), dtype=object)
     for i in range(n):
         for j in range(n):
-            try:
-                comps[i, j] = fx.parse_expression(str(rows[i][j]), chart)
-            except fx.ParseError as err:
-                raise ConfigError(f"'{what}'[{i}][{j}] does not parse: {err}")
+            comps[i, j] = _parse_expr(str(rows[i][j]), chart, f"'{what}'[{i}][{j}]")
     return comps
 
 
@@ -494,12 +519,12 @@ def _parse_ray_spec(text, ctx):
     if ctx.rho is None:
         raise ConfigError("ray evaluation needs a 'rho' in the config")
     parts = text.split(";")
-    base = np.array([float(v) for v in parts[0].split(",")], dtype=float)
+    base = _number(parts[0].split(","), _float_vector, "ray base point")
     if base.size != ctx.chart.n:
         raise ConfigError(f"ray base point must have {ctx.chart.n} components")
     direction = None
     if len(parts) > 1 and parts[1].strip():
-        direction = np.array([float(v) for v in parts[1].split(",")], dtype=float)
+        direction = _number(parts[1].split(","), _float_vector, "ray direction")
         if direction.size != ctx.chart.n:
             raise ConfigError(f"ray direction must have {ctx.chart.n} components")
     return bd.make_ray(ctx.rho, base, direction,
@@ -622,10 +647,7 @@ def cmd_limits(config_path, expr_text, ray_text):
     cfg = load_config(config_path)
     ctx = GeometryContext(cfg)
     ray = _parse_ray_spec(ray_text, ctx)
-    try:
-        expr = fx.parse_expression(expr_text, _LimitNames())
-    except fx.ParseError as err:
-        raise ConfigError(f"limit expression does not parse: {err}")
+    expr = _parse_expr(expr_text, _LimitNames(), "limit expression")
 
     def fn(s):
         vals = [float(ctx.S.value(s)), ctx.rho.value(s), float(ctx.tau.value(s))]

@@ -3,16 +3,20 @@
 Expressions are immutable trees built from constants, chart variables, sums,
 products, quotients, real powers, exp, log, sqrt and negation.  Nodes are
 hash-consed (structurally identical subtrees are the same object), which keeps
-repeated differentiation from blowing up and makes evaluation memoizable by
-object identity.  Everything downstream (metrics, connections, curvature)
+repeated differentiation from blowing up.  Evaluation goes through a Tape: the
+shared DAG of one or more roots recorded once as a straight-line program, then
+replayed per point.  Everything downstream (metrics, connections, curvature)
 bottoms out in these trees, so differentiation here is exact symbolic
 rewriting, never a finite-difference scheme.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
+
+import numpy as np
 
 
 class Chart:
@@ -65,11 +69,10 @@ def _intern(key, build):
 class ScalarExpr:
     """Base class for expression nodes."""
 
-    __slots__ = ("_diff_cache", "_grad_trees")
+    __slots__ = ("_diff_cache",)
 
     def __init__(self):
         self._diff_cache = {}
-        self._grad_trees = None
 
     # -- operator sugar so geometric code can assemble fields naturally --
     def __add__(self, other):
@@ -302,9 +305,7 @@ def div(a, b):
         if b.value == 0.0:
             raise ZeroDivisionError("division by constant zero in expression")
         return mul(a, const(1.0 / b.value))
-    if _is_const(a, 0.0):
-        # keep the quotient so a domain error at b == 0 is still reported
-        pass
+    # 0/b is not folded, so a domain error at b == 0 is still reported
     return _intern(("/", id(a), id(b)), lambda: Div(a, b))
 
 
@@ -315,6 +316,10 @@ def pow_(a, p: float):
     if p == 1.0:
         return a
     if _is_const(a):
+        if a.value == 0.0 and p < 0.0:
+            raise EvaluationDomainError(a, "zero raised to a negative power")
+        if a.value < 0.0 and p != int(p):
+            raise EvaluationDomainError(a, "negative base with non-integer exponent")
         return const(a.value ** p)
     return _intern(("^", id(a), p), lambda: Pow(a, p))
 
@@ -322,6 +327,8 @@ def pow_(a, p: float):
 def exp(a):
     a = _coerce(a)
     if _is_const(a):
+        if a.value > 709.0:
+            raise EvaluationDomainError(a, "exp overflow")
         return const(math.exp(a.value))
     return _intern(("exp", id(a)), lambda: Exp(a))
 
@@ -349,83 +356,125 @@ def differentiate(e: ScalarExpr, var_index: int) -> ScalarExpr:
     return e.diff(var_index)
 
 
-_CHILDREN = {
-    Add: lambda e: (e.a, e.b),
-    Mul: lambda e: (e.a, e.b),
-    Div: lambda e: (e.a, e.b),
-    Pow: lambda e: (e.a,),
-    Neg: lambda e: (e.a,),
-    Exp: lambda e: (e.a,),
-    Log: lambda e: (e.a,),
-    Sqrt: lambda e: (e.a,),
-}
+# -- compiled evaluation -------------------------------------------------------
+
+_ADD, _MUL, _NEG, _DIV, _POW, _EXP, _LOG, _SQRT, _CONST, _VAR = range(10)
+_OPCODE = {Add: _ADD, Mul: _MUL, Neg: _NEG, Div: _DIV, Pow: _POW, Exp: _EXP,
+           Log: _LOG, Sqrt: _SQRT}
 
 
-def evaluate(e: ScalarExpr, x, memo=None) -> float:
-    """Evaluate at a point.  Iterative post-order walk: derivative trees can be
-    deep, and the explicit stack plus the identity memo keeps shared subtrees
-    evaluated once."""
-    if memo is None:
-        memo = {}
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        key = id(node)
-        if key in memo:
+class Tape:
+    """Straight-line program that computes a list of expression roots.
+
+    Instruction i = (op, a, b) computes the value of node i into slot i from
+    the slots a and b before it (a power keeps its exponent in b, a constant
+    its value, a variable its coordinate index in a).  The instructions are
+    in the order a memoized post-order walk over the roots visits the nodes,
+    shared subtrees once, so each node costs the same float operation on the
+    same operands, and the first node to leave its domain is the one the walk
+    would meet first.
+    """
+
+    __slots__ = ("code", "nodes", "outputs")
+
+    def __init__(self, code, nodes, outputs):
+        self.code = code
+        self.nodes = nodes          # nodes[i] is the node instruction i computes
+        self.outputs = outputs      # slot of each root
+
+
+def compile_tape(roots) -> Tape:
+    """Record the evaluation of `roots` as one Tape."""
+    slot = {}
+    code = []
+    nodes = []
+    for root in roots:
+        stack = [root]
+        while stack:
+            node = stack[-1]
+            key = id(node)
+            if key in slot:
+                stack.pop()
+                continue
+            cls = type(node)
+            if cls is Const:
+                instr = (_CONST, 0, node.value)
+            elif cls is Var:
+                instr = (_VAR, node.index, 0)
+            elif cls is Add or cls is Mul or cls is Div:
+                a = slot.get(id(node.a))
+                b = slot.get(id(node.b))
+                if a is None or b is None:
+                    if a is None:
+                        stack.append(node.a)
+                    if b is None:
+                        stack.append(node.b)
+                    continue
+                instr = (_OPCODE[cls], a, b)
+            else:
+                a = slot.get(id(node.a))
+                if a is None:
+                    stack.append(node.a)
+                    continue
+                instr = (_OPCODE[cls], a, node.p if cls is Pow else 0)
             stack.pop()
-            continue
-        cls = type(node)
-        if cls is Const:
-            memo[key] = node.value
-            stack.pop()
-            continue
-        if cls is Var:
-            memo[key] = float(x[node.index])
-            stack.pop()
-            continue
-        kids = _CHILDREN[cls](node)
-        pending = [k for k in kids if id(k) not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        if cls is Add:
-            memo[key] = memo[id(node.a)] + memo[id(node.b)]
-        elif cls is Mul:
-            memo[key] = memo[id(node.a)] * memo[id(node.b)]
-        elif cls is Div:
-            d = memo[id(node.b)]
+            slot[key] = len(code)
+            code.append(instr)
+            nodes.append(node)
+    return Tape(code, nodes, [slot[id(r)] for r in roots])
+
+
+def evaluate(e, x):
+    """Evaluate at a point: an expression gives its value, a Tape the list of
+    its root values.  One linear pass over the tape, with every domain check
+    of the node it computes."""
+    if not isinstance(e, Tape):
+        return evaluate(compile_tape([e]), x)[0]
+    v = []
+    ap = v.append
+    for op, a, b in e.code:
+        if op == _ADD:
+            ap(v[a] + v[b])
+        elif op == _MUL:
+            ap(v[a] * v[b])
+        elif op == _NEG:
+            ap(-v[a])
+        elif op == _CONST:
+            ap(b)
+        elif op == _VAR:
+            ap(float(x[a]))
+        elif op == _DIV:
+            d = v[b]
             if d == 0.0:
-                raise EvaluationDomainError(node, "division by zero")
-            memo[key] = memo[id(node.a)] / d
-        elif cls is Pow:
-            base = memo[id(node.a)]
-            p = node.p
-            if base == 0.0 and p < 0.0:
-                raise EvaluationDomainError(node, "zero raised to a negative power")
-            if base < 0.0 and p != int(p):
-                raise EvaluationDomainError(node, "negative base with non-integer exponent")
-            memo[key] = base ** p
-        elif cls is Neg:
-            memo[key] = -memo[id(node.a)]
-        elif cls is Exp:
-            v = memo[id(node.a)]
-            if v > 709.0:
-                raise EvaluationDomainError(node, "exp overflow")
-            memo[key] = math.exp(v)
-        elif cls is Log:
-            v = memo[id(node.a)]
-            if v <= 0.0:
-                raise EvaluationDomainError(node, f"log of non-positive value {v}")
-            memo[key] = math.log(v)
-        elif cls is Sqrt:
-            v = memo[id(node.a)]
-            if v < 0.0:
-                raise EvaluationDomainError(node, f"sqrt of negative value {v}")
-            memo[key] = math.sqrt(v)
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node type {cls}")
-    return memo[id(e)]
+                raise EvaluationDomainError(e.nodes[len(v)], "division by zero")
+            ap(v[a] / d)
+        elif op == _POW:
+            val = v[a]
+            if val == 0.0 and b < 0.0:
+                raise EvaluationDomainError(e.nodes[len(v)],
+                                            "zero raised to a negative power")
+            if val < 0.0 and b != int(b):
+                raise EvaluationDomainError(e.nodes[len(v)],
+                                            "negative base with non-integer exponent")
+            ap(val ** b)
+        elif op == _EXP:
+            val = v[a]
+            if val > 709.0:
+                raise EvaluationDomainError(e.nodes[len(v)], "exp overflow")
+            ap(math.exp(val))
+        elif op == _LOG:
+            val = v[a]
+            if val <= 0.0:
+                raise EvaluationDomainError(e.nodes[len(v)],
+                                            f"log of non-positive value {val}")
+            ap(math.log(val))
+        else:
+            val = v[a]
+            if val < 0.0:
+                raise EvaluationDomainError(e.nodes[len(v)],
+                                            f"sqrt of negative value {val}")
+            ap(math.sqrt(val))
+    return [v[i] for i in e.outputs]
 
 
 def derivative_trees(e: ScalarExpr, multi_index) -> ScalarExpr:
@@ -436,27 +485,27 @@ def derivative_trees(e: ScalarExpr, multi_index) -> ScalarExpr:
     return tree
 
 
+def symmetric_index(n: int, order: int):
+    """Integer array of shape (n,)*order giving, for every multi-index, the
+    position of its sorted form among combinations_with_replacement(range(n),
+    order).  Gathering one value per sorted multi-index through it fills a
+    symmetric derivative array with bitwise exact symmetry."""
+    rank = {idx: i for i, idx in
+            enumerate(itertools.combinations_with_replacement(range(n), order))}
+    out = np.empty((n,) * order, dtype=np.intp)
+    for idx in np.ndindex(out.shape):
+        out[idx] = rank[tuple(sorted(idx))]
+    return out
+
+
 def derivative_tensor(e: ScalarExpr, x, order: int, n: int = None):
-    """All mixed partials of a given order at x, as a symmetric array.
-
-    Symmetric entries are filled from a single tree per sorted multi-index, so
-    permutation symmetry is bitwise exact.
-    """
-    import itertools
-
-    import numpy as np
-
+    """All mixed partials of a given order at x, as a symmetric array."""
     if n is None:
         n = len(x)
-    if order == 0:
-        return np.array(evaluate(e, x))
-    out = np.zeros((n,) * order)
-    memo = {}
-    for idx in itertools.combinations_with_replacement(range(n), order):
-        value = evaluate(derivative_trees(e, idx), x, memo)
-        for perm in set(itertools.permutations(idx)):
-            out[perm] = value
-    return out
+    trees = [derivative_trees(e, idx)
+             for idx in itertools.combinations_with_replacement(range(n), order)]
+    values = np.array(evaluate(compile_tape(trees), x))
+    return np.asarray(values[symmetric_index(n, order)])
 
 
 # -- parsing -------------------------------------------------------------------

@@ -97,27 +97,36 @@ def _check_compatible(a, b):
 
 
 def tensor_from_exprs(chart, comps, variance, weight=0.0, name=""):
-    """Leaf field whose components are closed-form expressions."""
+    """Leaf field whose components are closed-form expressions.
+
+    The first jet of each order compiles the derivative trees of every
+    component along every sorted multi-index up to that order into one Tape,
+    with one gather index per order that fills the symmetric derivative
+    array; every later point of that order is one pass over the tape.
+    """
     comps = np.asarray(comps, dtype=object)
     n = chart.n
+    programs = {}
+
+    def compile_jet(order):
+        roots = []
+        gathers = []
+        ranks = np.arange(comps.size).reshape(comps.shape)
+        for k in range(order + 1):
+            midxs = list(itertools.combinations_with_replacement(range(n), k))
+            gathers.append(len(roots) + ranks.reshape(comps.shape + (1,) * k) * len(midxs)
+                           + fx.symmetric_index(n, k))
+            roots += [fx.derivative_trees(comps[ci], midx)
+                      for ci in np.ndindex(comps.shape) for midx in midxs]
+        return fx.compile_tape(roots), gathers
 
     def jet_fn(x, order):
-        memo = {}
-        terms = []
-        for k in range(order + 1):
-            arr = np.zeros(comps.shape + (n,) * k)
-            for ci in np.ndindex(comps.shape):
-                e = comps[ci]
-                for midx in itertools.combinations_with_replacement(range(n), k):
-                    tree = fx.derivative_trees(e, midx)
-                    val = fx.evaluate(tree, x, memo)
-                    if k == 0:
-                        arr[ci] = val
-                    else:
-                        for perm in set(itertools.permutations(midx)):
-                            arr[ci + perm] = val
-            terms.append(arr)
-        return Jet(n, comps.shape, terms)
+        program = programs.get(order)
+        if program is None:
+            program = programs[order] = compile_jet(order)
+        tape, gathers = program
+        values = np.array(fx.evaluate(tape, x))
+        return Jet(n, comps.shape, [np.asarray(values[g]) for g in gathers])
 
     return TensorField(chart, variance, weight, jet_fn, name)
 
@@ -170,12 +179,11 @@ class AlmostComplexStructure:
         return self.field.value(x)
 
 
-_STANDARD_J_CACHE = {}
-
-
 def standard_J(chart) -> AlmostComplexStructure:
-    """Constant complex structure with J dx_k = dy_k in interleaved coordinates."""
-    cached = _STANDARD_J_CACHE.get(id(chart))
+    """Constant complex structure with J dx_k = dy_k in interleaved coordinates.
+
+    Built once per chart and kept on the chart, so it is released with it."""
+    cached = getattr(chart, "_standard_J", None)
     if cached is not None:
         return cached
     n = chart.n
@@ -187,7 +195,7 @@ def standard_J(chart) -> AlmostComplexStructure:
                      dtype=object)
     J = AlmostComplexStructure(chart, exprs)
     J.constant_matrix = M
-    _STANDARD_J_CACHE[id(chart)] = J
+    chart._standard_J = J
     return J
 
 

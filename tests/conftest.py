@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from cprojective import boundary as bd
 from cprojective import cproj as cp
 from cprojective import examples as ex
+from cprojective import fieldexpr as fx
 from cprojective import geometry as geo
 from cprojective import tractor as tr
 
@@ -108,3 +111,37 @@ def random_one_form(chart, rng, degree=1, scale=0.5):
     comps = _np.array([random_polynomial(chart, rng, degree, scale)
                        for _ in range(chart.n)], dtype=object)
     return geo.tensor_from_exprs(chart, comps, (-1,))
+
+
+# Uses every node type: Const, Var, Mul, Exp, Add, Neg, Log, Sqrt, Div, Pow.
+EVERY_NODE_TEXT = "exp(2*x1) - log(3 + y1) + sqrt(1 + x2)/y2^2"
+
+_REFERENCE_OPS = {
+    fx.Add: lambda e, r: r(e.a) + r(e.b),
+    fx.Mul: lambda e, r: r(e.a) * r(e.b),
+    fx.Div: lambda e, r: r(e.a) / r(e.b),
+    fx.Pow: lambda e, r: r(e.a) ** e.p,
+    fx.Neg: lambda e, r: -r(e.a),
+    fx.Exp: lambda e, r: math.exp(r(e.a)),
+    fx.Log: lambda e, r: math.log(r(e.a)),
+    fx.Sqrt: lambda e, r: math.sqrt(r(e.a)),
+}
+
+
+def reference_evaluate(e, x):
+    """Recursive tree evaluation, one float operation per node and no domain
+    checks: the reference the compiled tapes must match bit for bit."""
+    memo = {}
+
+    def rec(node):
+        key = id(node)
+        if key not in memo:
+            if isinstance(node, fx.Const):
+                memo[key] = node.value
+            elif isinstance(node, fx.Var):
+                memo[key] = float(x[node.index])
+            else:
+                memo[key] = _REFERENCE_OPS[type(node)](node, rec)
+        return memo[key]
+
+    return rec(e)

@@ -140,6 +140,53 @@ def test_invalid_m_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+def _set(path, value):
+    def edit(cfg):
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _set(("schedule", "K"), "abc"),
+    _set(("schedule", "K"), 1e400),
+    _set(("schedule", "t0"), "abc"),
+    _set(("schedule", "order"), None),
+    _set(("seed",), "abc"),
+    _set(("tolerances",), {"hermitean": "tiny"}),
+    _set(("tolerances",), [1e-10]),
+    _set(("schedule",), [0.1, 8, 3]),
+    _set(("patch", "points"), [["a", 0, 0, 0]]),
+    _set(("patch", "points"), [[None, 0, 0, 0]]),
+    _set(("rho",), "1 - x1^2 - y1^2 - x2^2 - y2^2 + 1/0"),
+    _set(("rho",), "1 - x1^2 - y1^2 - x2^2 - y2^2 + log(0-1)"),
+    _set(("rho",), "1 - x1^2 - y1^2 - x2^2 - y2^2 + (0-8)^0.5"),
+    _set(("rho",), "1 - x1^2 - y1^2 - x2^2 - y2^2 + exp(710)"),
+], ids=["K-text", "K-inf", "t0-text", "order-null", "seed-text", "tolerance-text",
+        "tolerances-list", "schedule-list", "patch-text", "patch-null",
+        "rho-div-zero", "rho-log-negative", "rho-negative-root", "rho-exp-overflow"])
+def test_bad_config_value_exit_2(tmp_path, capsys, edit):
+    cfg = json.loads(BALL_CONFIG.read_text())
+    edit(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["report", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--quantity", "S", "--ray", "0.99,zero,0,0"],
+    ["sweep", "--quantity", "S", "--ray", "0.99,0,0,0;-1,0,x,0"],
+    ["limits", "--expr", "S/0", "--ray", "0.99,0,0,0"],
+])
+def test_bad_command_line_value_exit_2(capsys, argv):
+    argv = argv[:1] + ["--config", str(BALL_CONFIG)] + argv[1:]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_sweep_tau_over_rho(capsys):
     code = cli.main(["sweep", "--config", str(BALL_CONFIG),
                      "--quantity", "tau-over-rho", "--ray", "0.99,0,0,0"])

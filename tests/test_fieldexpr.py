@@ -1,9 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from cprojective import fieldexpr as fx
+
+from conftest import EVERY_NODE_TEXT, reference_evaluate
 
 CHART = fx.Chart(2)
 BALL = "1 - x1^2 - y1^2 - x2^2 - y2^2"
@@ -200,3 +203,64 @@ def test_hash_consing_shares_nodes():
     a = fx.parse_expression("x1*y1", CHART)
     b = fx.parse_expression("x1*y1", CHART)
     assert a is b
+
+
+def every_node_closed_form(idx, x):
+    """Mixed partial of EVERY_NODE_TEXT along the multi-index idx, from the
+    one-variable derivatives of its separable terms."""
+    x1, y1, x2, y2 = x
+    counts = [idx.count(i) for i in range(4)]
+    k = len(idx)
+    if k == 0:
+        return math.exp(2 * x1) - math.log(3 + y1) + math.sqrt(1 + x2) / y2 ** 2
+    if counts[0] == k:
+        return 2.0 ** k * math.exp(2 * x1)
+    if counts[1] == k:
+        return (-1) ** k * math.factorial(k - 1) / (3 + y1) ** k
+    if counts[0] or counts[1]:
+        return 0.0
+    a, b = counts[2], counts[3]
+    s = math.prod(0.5 - j for j in range(a)) * (1 + x2) ** (0.5 - a)
+    t = math.prod(-2.0 - j for j in range(b)) * y2 ** (-2.0 - b)
+    return s * t
+
+
+def test_derivative_tensor_matches_closed_forms():
+    e = fx.parse_expression(EVERY_NODE_TEXT, CHART)
+    x = [0.3, -0.4, 0.5, 0.7]
+    for order in range(4):
+        arr = fx.derivative_tensor(e, x, order)
+        for idx in np.ndindex(arr.shape):
+            expected = every_node_closed_form(tuple(sorted(idx)), x)
+            assert arr[idx] == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_tape_is_bit_equal_to_reference_walk():
+    e = fx.parse_expression(EVERY_NODE_TEXT, CHART)
+    trees = [fx.derivative_trees(e, idx) for order in range(4)
+             for idx in itertools.combinations_with_replacement(range(4), order)]
+    tape = fx.compile_tape(trees)
+    rng = np.random.default_rng(19)
+    for _ in range(5):
+        x = rng.uniform(0.1, 0.9, 4)
+        assert fx.evaluate(tape, x) == [reference_evaluate(t, x) for t in trees]
+
+
+def test_tape_records_shared_subtrees_once():
+    e = fx.parse_expression(EVERY_NODE_TEXT, CHART)
+    d = fx.differentiate(e, 3)
+    single = len(fx.compile_tape([e]).code) + len(fx.compile_tape([d]).code)
+    assert len(fx.compile_tape([e, d, e]).code) < single
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1 + 1/0", "division by constant zero"),
+    ("x1 + log(0 - 1)", "log of non-positive constant"),
+    ("x1 + sqrt(0 - 4)", "sqrt of negative constant"),
+    ("x1 + 0^-1", "zero raised to a negative power"),
+    ("x1 + (0 - 8)^0.5", "negative base with non-integer exponent"),
+    ("x1 + exp(710)", "exp overflow"),
+])
+def test_constant_folding_rejects_constants_outside_their_domain(text, message):
+    with pytest.raises(ArithmeticError, match=message):
+        fx.parse_expression(text, CHART)

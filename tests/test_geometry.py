@@ -1,3 +1,7 @@
+import gc
+import itertools
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,7 @@ from cprojective import examples as ex
 from cprojective import fieldexpr as fx
 from cprojective import geometry as geo
 
-from conftest import random_one_form
+from conftest import EVERY_NODE_TEXT, random_one_form, reference_evaluate
 
 
 # ---------------------------------------------------------------- flat space
@@ -514,3 +518,80 @@ def test_hermitean_residual_detects_non_hermitean():
     bad = geo.tensor_constant(chart, np.diag([1.0, 2.0, 1.0, 1.0]), (-1, -1))
     res = geo.hermitean_metric_residual(bad, J, [np.zeros(4)])
     assert res == pytest.approx(1.0)
+
+
+# ------------------------------------------------------------ leaf tapes
+
+CHART2 = fx.Chart(2)
+
+
+def test_leaf_jets_are_bit_equal_to_derivative_tensor():
+    comps = np.array([fx.parse_expression(EVERY_NODE_TEXT, CHART2),
+                      fx.parse_expression("x1*y2 - 1/(2 + x2)", CHART2)], dtype=object)
+    leaf = geo.tensor_from_exprs(CHART2, comps, (-1,))
+    scalar = geo.scalar_from_expr(CHART2, comps[0])
+    x = (0.3, -0.4, 0.5, 0.7)
+    jet = leaf.jet(x, 3)
+    sjet = scalar.jet(x, 3)
+    for k in range(4):
+        assert jet.terms[k].shape == (2,) + (4,) * k
+        assert isinstance(sjet.terms[k], np.ndarray) and sjet.terms[k].shape == (4,) * k
+        assert np.array_equal(sjet.terms[k], fx.derivative_tensor(comps[0], x, k))
+        for i in range(2):
+            assert np.array_equal(jet.terms[k][i], fx.derivative_tensor(comps[i], x, k))
+            for idx in itertools.combinations_with_replacement(range(4), k):
+                tree = fx.derivative_trees(comps[i], idx)
+                assert jet.terms[k][(i,) + idx] == reference_evaluate(tree, x)
+
+
+@pytest.mark.parametrize("text, point, order, node, message", [
+    # d/dx1 sqrt(x1) = 1/(2 sqrt(x1)): fine at order 0, divides by zero at 1
+    ("sqrt(x1)", 0.0, 1,
+     lambda e: fx.differentiate(e, 0), "division by zero"),
+    # d/dx1 x1^0.5 = 0.5 x1^-0.5
+    ("x1^0.5", 0.0, 2,
+     lambda e: fx.pow_(fx.var(CHART2, 0), -0.5), "zero raised to a negative power"),
+    ("x1^1.5", -1.0, 1,
+     lambda e: e, "negative base with non-integer exponent"),
+    ("exp(x1)", 710.0, 1, lambda e: e, "exp overflow"),
+    ("log(x1)", -1.0, 2, lambda e: e, "log of non-positive value -1.0"),
+    ("sqrt(x1)", -1.0, 1, lambda e: e, "sqrt of negative value -1.0"),
+])
+def test_leaf_jet_domain_errors_carry_node_and_message(text, point, order, node, message):
+    e = fx.parse_expression(text, CHART2)
+    leaf = geo.scalar_from_expr(CHART2, e)
+    with pytest.raises(fx.EvaluationDomainError) as err:
+        leaf.jet((point, 0.5, 0.5, 0.5), order)
+    assert err.value.node is node(e)
+    assert str(err.value) == message
+
+
+def test_leaf_compiles_each_jet_order_once(monkeypatch):
+    compiled = []
+    compile_tape = fx.compile_tape
+
+    def counting(roots):
+        compiled.append(len(roots))
+        return compile_tape(roots)
+
+    monkeypatch.setattr(fx, "compile_tape", counting)
+    leaf = geo.scalar_from_expr(CHART2, fx.parse_expression(EVERY_NODE_TEXT, CHART2))
+    rng = np.random.default_rng(23)
+    points = [rng.uniform(0.1, 0.9, 4) for _ in range(20)]
+    for x in points:
+        leaf.jet(x, 2)
+    assert compiled == [1 + 4 + 10]
+    for x in points:
+        leaf.jet(x + 0.01, 1)
+    assert compiled == [1 + 4 + 10, 1 + 4]
+
+
+def test_standard_J_is_kept_on_its_chart():
+    chart = fx.Chart(2)
+    assert geo.standard_J(chart) is geo.standard_J(chart)
+    assert geo.standard_J(fx.Chart(2)) is not geo.standard_J(chart)
+    ref = weakref.ref(chart)
+    geo.standard_J(chart).field.jet((0.1, 0.2, 0.3, 0.4), 1)
+    del chart
+    gc.collect()
+    assert ref() is None
