@@ -41,7 +41,9 @@ class DefiningFunction:
         self._grad_tape = fx.compile_tape(self.gradient)
 
     def value(self, x):
-        return fx.evaluate(self._value_tape, x)[0]
+        """rho at a point (a float) or at a batch of points (a (B,) array)."""
+        values = fx.evaluate(self._value_tape, x)
+        return values[0] if isinstance(values, list) else values[:, 0]
 
     def grad(self, x):
         return np.array(fx.evaluate(self._grad_tape, x))
@@ -75,8 +77,35 @@ class Ray:
     def ts(self):
         return [self.t0 * 2.0 ** (-k) for k in range(self.K + 1)]
 
+    def points(self):
+        """The samples as one (K + 1, n) batch."""
+        return self.base + np.array(self.ts())[:, None] * self.direction
+
     def samples(self):
-        return [self.base + t * self.direction for t in self.ts()]
+        return list(self.points())
+
+
+def _stack_rays(rays):
+    """The samples of all rays stacked into one batch, ray after ray."""
+    return np.concatenate([ray.points() for ray in rays])
+
+
+def _split_by_ray(values, rays):
+    out = []
+    start = 0
+    for ray in rays:
+        out.append(values[start:start + ray.K + 1])
+        start += ray.K + 1
+    return out
+
+
+def along_rays(field_obj: TensorField, rays):
+    """Values of a field at the samples of every ray, from one evaluation on
+    the stacked batch of all rays: one (K + 1, ...) array per ray."""
+    rays = list(rays)
+    if not rays:
+        return []
+    return _split_by_ray(field_obj.value(_stack_rays(rays)), rays)
 
 
 def project_to_boundary(rho: DefiningFunction, x, tol=1e-12, max_iter=60):
@@ -103,9 +132,8 @@ def make_ray(rho: DefiningFunction, approx_point, direction=None, t0=0.1, K=8) -
     if float(grad @ direction) <= 0.0:
         raise BoundaryError("ray direction must point inward (d(rho)(v) > 0)")
     ray = Ray(base, direction, t0, K)
-    for s in ray.samples():
-        if rho.value(s) <= 0.0:
-            raise BoundaryError("ray leaves the interior within the step schedule")
+    if (rho.value(ray.points()) <= 0.0).any():
+        raise BoundaryError("ray leaves the interior within the step schedule")
     return ray
 
 
@@ -135,32 +163,68 @@ def richardson(values, order: int):
     return value, abs(value - prev_order)
 
 
-def extrapolate_limit(fn, ray: Ray, tol: float = 1e-8, order: int = 3) -> LimitEstimate:
-    """Boundary limit of a scalar-valued function along the ray.  Evaluation
-    failures and divergence are reported, never raised."""
-    values = []
-    for s in ray.samples():
-        try:
-            v = float(fn(s))
-        except (fx.EvaluationDomainError, ArithmeticError, np.linalg.LinAlgError) as err:
-            return LimitEstimate(math.nan, math.inf, False, len(values),
-                                 f"evaluation failed: {err}")
-        if not math.isfinite(v):
-            return LimitEstimate(math.nan, math.inf, False, len(values),
+_EVALUATION_ERRORS = (fx.EvaluationDomainError, ArithmeticError, np.linalg.LinAlgError)
+
+
+def extrapolate_limit(fn, ray: Ray, tol: float = 1e-8, order: int = 3,
+                      values=None) -> LimitEstimate:
+    """Boundary limit of a scalar-valued function along the ray.  `values`
+    are fn at the ray samples when one batch already computed them; without
+    them fn is evaluated sample by sample, so the first failing sample is the
+    one reported.  Evaluation failures and divergence are reported, never
+    raised."""
+    if values is None:
+        values = []
+        for s in ray.samples():
+            try:
+                v = float(fn(s))
+            except _EVALUATION_ERRORS as err:
+                return LimitEstimate(math.nan, math.inf, False, len(values),
+                                     f"evaluation failed: {err}")
+            if not math.isfinite(v):
+                return LimitEstimate(math.nan, math.inf, False, len(values),
+                                     "non-finite sample")
+            values.append(v)
+    else:
+        finite = np.isfinite(values)
+        if not finite.all():
+            return LimitEstimate(math.nan, math.inf, False, int(finite.argmin()),
                                  "non-finite sample")
-        values.append(v)
     value, err = richardson(values, order)
     if not math.isfinite(value):
         return LimitEstimate(math.nan, math.inf, False, len(values), "diverged")
     return LimitEstimate(value, err, bool(err < tol), len(values))
 
 
+def limits_along_rays(fn, rays, tol: float = 1e-8, order: int = 3):
+    """extrapolate_limit of fn along every ray, with fn evaluated once on the
+    stacked samples of all rays; fn maps a point to a number and a batch of
+    points to one number per point.  If the batch fails, each ray is
+    evaluated again sample by sample, so the failing sample is reported as
+    the pointwise evaluation reports it."""
+    rays = list(rays)
+    if not rays:
+        return []
+    try:
+        per_ray = _split_by_ray(np.asarray(fn(_stack_rays(rays)), dtype=float), rays)
+    except _EVALUATION_ERRORS:
+        per_ray = [None] * len(rays)
+    return [extrapolate_limit(fn, ray, tol, order, values)
+            for ray, values in zip(rays, per_ray)]
+
+
 def frame_in_levi_subspace(rho: DefiningFunction, J: AlmostComplexStructure, x):
     """Orthonormal frame of ker(d rho) cap ker(theta) at x, by Gram-Schmidt of
-    the coordinate fields against the gradient directions of rho and theta."""
-    n = rho.chart.n
-    g = rho.grad(x)
-    Jm = J.field.value(x)
+    the coordinate fields against the gradient directions of rho and theta.
+    For a batch of points (shape (B, n)), the list of their frames."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 1:
+        return [_levi_frame(g, Jm) for g, Jm in zip(rho.grad(x), J.field.value(x))]
+    return _levi_frame(rho.grad(x), J.field.value(x))
+
+
+def _levi_frame(g, Jm):
+    n = len(g)
     th = -Jm.T @ g          # theta_a = -rho_i J^i_a
     basis = []
     for w in (g, th):
@@ -207,15 +271,12 @@ def levi_checks(rho: DefiningFunction, J: AlmostComplexStructure,
     herm_res = 0.0
     tang_res = 0.0
     signature = None
-    for pt in boundary_points:
-        x = project_to_boundary(rho, pt)
-        dth_x = dth.value(x)
-        Jm = J.field.value(x)
+    X = np.array([project_to_boundary(rho, pt) for pt in boundary_points])
+    fields = zip(dth.value(X), J.field.value(X), N.value(X), drho.value(X),
+                 frame_in_levi_subspace(rho, J, X)) if len(X) else ()
+    for dth_x, Jm, N_x, dr_x, frame in fields:
         herm_res = max(herm_res, float(np.abs(Jm.T @ dth_x @ Jm - dth_x).max()))
-        N_x = N.value(x)
-        dr_x = drho.value(x)
         tang_res = max(tang_res, float(np.abs(np.einsum("c,cab->ab", dr_x, N_x)).max()))
-        frame = frame_in_levi_subspace(rho, J, x)
         F = np.array(frame).T                       # columns are frame vectors
         levi_skew = F.T @ dth_x @ F
         sv = np.linalg.svd(levi_skew, compute_uv=False)
@@ -266,23 +327,23 @@ def asymptotic_smooth_part(g: TensorField, rho: DefiningFunction, C: float,
     return rho_g - correction
 
 
-def _component_limits(field_obj: TensorField, ray: Ray, tol, order,
-                      indices=None):
-    shape = field_obj.value(ray.samples()[0]).shape
-    if indices is None:
-        indices = list(np.ndindex(shape)) if shape else [()]
-    samples = [field_obj.value(s) for s in ray.samples()]
+def _components(samples):
+    """The (K + 1, ...) samples of one ray as one list of K + 1 floats per
+    component, in index order."""
+    return samples.reshape(len(samples), -1).T.tolist()
+
+
+def _component_limits(samples, tol, order):
+    """(limit, error estimate, converged) of every component, in index order,
+    from the (K + 1, ...) samples of one ray.  A component with a non-finite
+    sample has limit NaN, infinite error and does not converge."""
     out = []
-    for idx in indices:
-        vals = [s[idx] if idx else float(s) for s in samples]
+    for vals in _components(samples):
         if not all(math.isfinite(v) for v in vals):
-            out.append((idx, LimitEstimate(math.nan, math.inf, False, len(vals),
-                                           "non-finite sample")))
+            out.append((math.nan, math.inf, False))
             continue
         value, err = richardson(vals, order)
-        est = LimitEstimate(value, err, bool(math.isfinite(value) and err < tol),
-                            len(vals))
-        out.append((idx, est))
+        out.append((value, err, math.isfinite(value) and err < tol))
     return out
 
 
@@ -300,26 +361,23 @@ def certify_asymptotic_form(g: TensorField, rho: DefiningFunction,
     max_defect = 0.0
     all_converged = True
     n = g.chart.n
-    sym_indices = [(a, b) for a in range(n) for b in range(a, n)]
-    for ray in rays:
-        for _, est in _component_limits(h, ray, tol, order, sym_indices):
-            all_converged &= est.converged
-            max_err = max(max_err, est.error_estimate)
+    upper = np.triu_indices(n)
+    bases = np.array([ray.base for ray in rays])
+    feet = zip(along_rays(h, rays), J.field.value(bases), dth.value(bases),
+               frame_in_levi_subspace(rho, J, bases)) if rays else ()
+    for h_samples, Jm, dth0, frame in feet:
+        for _, err, converged in _component_limits(
+                h_samples[:, upper[0], upper[1]], tol, order):
+            all_converged &= converged
+            max_err = max(max_err, err)
         # boundary coupling: h(xi, J zeta) -> C * dtheta(xi, zeta) for zeta in
-        # the CR subspace at the foot point
-        x0 = ray.base
-        Jm = J.field.value(x0)
-        dth0 = dth.value(x0)
-        frame = frame_in_levi_subspace(rho, J, x0)
-        h_samples = [h.value(s) for s in ray.samples()]
+        # the CR subspace at the foot point, xi the coordinate vectors
         for zeta in frame:
             Jz = Jm @ zeta
             for a in range(n):
-                xi = np.zeros(n)
-                xi[a] = 1.0
-                vals = [float(xi @ hs @ Jz) for hs in h_samples]
+                vals = [float(hs[a] @ Jz) for hs in h_samples]
                 value, err = richardson(vals, order)
-                target = C * float(xi @ dth0 @ zeta)
+                target = C * float(dth0[a] @ zeta)
                 defect = abs(value - target)
                 max_defect = max(max_defect, defect)
                 if not (math.isfinite(value) and err < tol and defect < tol):
@@ -336,11 +394,10 @@ def certify_volume_density(tau: TensorField, rho: DefiningFunction, rays,
                            nonzero_floor: float = 1e-4) -> Certificate:
     """tau extends by zero to a defining density: tau/rho has a finite nonzero
     boundary limit along every ray."""
+    rays = list(rays)
     limits = []
     ok = True
-    for ray in rays:
-        est = extrapolate_limit(
-            lambda s: float(tau.value(s)) / rho.value(s), ray, tol, order)
+    for est in limits_along_rays(lambda x: tau.value(x) / rho.value(x), rays, tol, order):
         limits.append(est.value)
         ok &= est.converged and math.isfinite(est.value) \
             and abs(est.value) > nonzero_floor
@@ -354,10 +411,10 @@ def scalar_boundary_constancy(S: TensorField, rays, tol: float = 1e-5,
     """Boundary values of the scalar curvature across a connected patch agree
     within tolerance and are nonzero.  A patch of vanishing boundary values is
     reported as not applicable (the nonzero-scalar-curvature hypothesis fails)."""
+    rays = list(rays)
     limits = []
     converged = True
-    for ray in rays:
-        est = extrapolate_limit(lambda s: float(S.value(s)), ray, tol, order)
+    for est in limits_along_rays(S.value, rays, tol, order):
         converged &= est.converged
         limits.append(est.value)
     spread = max(limits) - min(limits) if limits else math.inf
@@ -378,13 +435,12 @@ def compactification_constant(g: TensorField, P: TensorField, rays,
     """Boundary limit of -(m/2) / (g^{ij} P_{ij}); for a compactified metric it
     reproduces the constant of the asymptotic normal form for any defining
     function."""
+    rays = list(rays)
     m = g.chart.m
     trace = field_einsum("ij,ij->", geo.metric_inverse(g), P, ())
     limits = []
     worst = None
-    for ray in rays:
-        est = extrapolate_limit(
-            lambda s: -0.5 * m / float(trace.value(s)), ray, tol, order)
+    for est in limits_along_rays(lambda x: -0.5 * m / trace.value(x), rays, tol, order):
         limits.append(est.value)
         if worst is None or est.error_estimate > worst.error_estimate:
             worst = est
@@ -403,9 +459,8 @@ def rank_one_curvature(phi: TensorField, J: AlmostComplexStructure,
     C_ab^c_d = 2(d^c_[a phi_b]d - J^i_[a phi_b]i J^c_d - J^c_[a phi_b]i J^i_d)."""
     chart = phi.chart
     if check_points is not None:
-        for x in check_points:
-            p = phi.value(x)
-            Jm = J.field.value(x)
+        X = np.asarray(check_points, dtype=float)
+        for p, Jm in zip(phi.value(X), J.field.value(X)) if len(X) else ():
             if np.abs(p - p.T).max() > tol or np.abs(Jm.T @ p @ Jm - p).max() > tol:
                 raise BoundaryError("rank-one curvature needs a symmetric Hermitean input")
     eye = tensor_constant(chart, np.eye(chart.n), (+1, -1))
@@ -460,19 +515,26 @@ def certify_curvature_asymptotics(R: TensorField, rho: DefiningFunction,
             - E.scaled(0.5)
     else:
         raise ValueError("order must be 1 or 2")
-    max_limit = 0.0
-    max_err = 0.0
-    ok = True
-    for ray in rays:
-        for _, est in _component_limits(defect, ray, tol, fit_order):
-            ok &= est.converged and abs(est.value) < tol
-            if math.isfinite(est.value):
-                max_limit = max(max_limit, abs(est.value))
-            max_err = max(max_err, est.error_estimate)
+    ok, max_limit, max_err = _decay_to_zero(defect, rays, tol, fit_order)
     return Certificate(f"curvature-asymptotics-order{order}", ok,
                        diagnostics={"max_boundary_defect": max_limit,
                                     "max_error_estimate": max_err,
                                     "tolerance": tol})
+
+
+def _decay_to_zero(field_obj: TensorField, rays, tol, order):
+    """Whether every component of the field extrapolates to 0 along every
+    ray, with the largest finite |limit| and the largest error estimate."""
+    ok = True
+    max_limit = 0.0
+    max_err = 0.0
+    for samples in along_rays(field_obj, rays):
+        for value, err, converged in _component_limits(samples, tol, order):
+            ok &= converged and abs(value) < tol
+            if math.isfinite(value):
+                max_limit = max(max_limit, abs(value))
+            max_err = max(max_err, err)
+    return ok, max_limit, max_err
 
 
 def _dtheta_insertion(dth: TensorField, J: AlmostComplexStructure) -> TensorField:
@@ -495,15 +557,12 @@ def trimmed_ray(ray: Ray, trim: int) -> Ray:
     return Ray(ray.base, ray.direction, ray.t0, max(ray.K - trim, 3))
 
 
-def _boundedness_ok(field_obj: TensorField, ray: Ray, tol: float, order: int,
-                    rel: float = 1e-3) -> bool:
-    """Convergence in the sense of 'admits a smooth extension': extrapolation
-    error small relative to the component's own scale.  A 1/rho divergence
-    doubles along the schedule and fails with O(1) relative error."""
-    samples = [field_obj.value(s) for s in ray.samples()]
-    shape = samples[0].shape
-    for idx in (list(np.ndindex(shape)) if shape else [()]):
-        vals = [s[idx] if idx else float(s) for s in samples]
+def _boundedness_ok(samples, tol: float, order: int, rel: float = 1e-3) -> bool:
+    """Convergence in the sense of 'admits a smooth extension', from the
+    (K + 1, ...) samples of one ray: extrapolation error small relative to
+    each component's own scale.  A 1/rho divergence doubles along the
+    schedule and fails with O(1) relative error."""
+    for vals in _components(samples):
         if not all(math.isfinite(v) for v in vals):
             return False
         _, err = richardson(vals, order)
@@ -530,6 +589,7 @@ def certify_schouten_asymptotics(dec: geo.SchoutenDecomposition,
     float error of curvature-derived quantities grows like eps/rho^2 and would
     swamp an analytically-bounded component, while genuine 1/rho divergence is
     still detected loudly on the trimmed schedule."""
+    rays = list(rays)
     chart = rho.chart
     rho_f = rho.field()
     phi = gradient_squared_form(rho, J)
@@ -538,24 +598,19 @@ def certify_schouten_asymptotics(dec: geo.SchoutenDecomposition,
         + field_einsum(",ab->ab", inv_rho4, phi, (-1, -1))
     nabla_hat_drho = covariant_derivative(conn_hat, rho.one_form())
     defect = lhs - nabla_hat_drho.scaled(0.5)
-    max_defect = 0.0
-    max_err = 0.0
-    ok = True
-    for ray in rays:
-        for _, est in _component_limits(defect, ray, tol, fit_order):
-            ok &= est.converged and abs(est.value) < tol
-            if math.isfinite(est.value):
-                max_defect = max(max_defect, abs(est.value))
-            max_err = max(max_err, est.error_estimate)
+    ok, max_defect, max_err = _decay_to_zero(defect, rays, tol, fit_order)
     beta_ok = True
     pzero_ok = True
     rho_pminus = field_einsum(",ab->ab", rho_f, dec.P_minus, (-1, -1))
-    for ray in rays:
-        short = trimmed_ray(ray, boundedness_trim)
-        beta_ok &= _boundedness_ok(dec.beta, short, tol, fit_order)
-        beta_ok &= _boundedness_ok(rho_pminus, short, tol, fit_order)
-        if dec.P_zero is not None:
-            pzero_ok &= _boundedness_ok(dec.P_zero, short, tol, fit_order)
+    # the trimmed schedule is a prefix of each ray's samples
+    kept = [trimmed_ray(ray, boundedness_trim).K + 1 for ray in rays]
+    for keep, beta, pminus in zip(kept, along_rays(dec.beta, rays),
+                                  along_rays(rho_pminus, rays)):
+        beta_ok &= _boundedness_ok(beta[:keep], tol, fit_order)
+        beta_ok &= _boundedness_ok(pminus[:keep], tol, fit_order)
+    if dec.P_zero is not None:
+        for keep, pzero in zip(kept, along_rays(dec.P_zero, rays)):
+            pzero_ok &= _boundedness_ok(pzero[:keep], tol, fit_order)
     return Certificate("schouten-asymptotics", ok and beta_ok and pzero_ok,
                        diagnostics={"max_boundary_defect": max_defect,
                                     "max_error_estimate": max_err,
@@ -572,13 +627,7 @@ def certify_asymptotically_parallel_nijenhuis(J: AlmostComplexStructure,
     to 0 along every ray."""
     N = geo.nijenhuis(J)
     DN = covariant_derivative(conn, N)
-    max_limit = 0.0
-    ok = True
-    for ray in rays:
-        for _, est in _component_limits(DN, ray, tol, fit_order):
-            ok &= est.converged and abs(est.value) < tol
-            if math.isfinite(est.value):
-                max_limit = max(max_limit, abs(est.value))
+    ok, max_limit, _ = _decay_to_zero(DN, rays, tol, fit_order)
     return Certificate("nijenhuis-parallel-decay", ok,
                        diagnostics={"max_boundary_limit": max_limit,
                                     "tolerance": tol})
@@ -589,19 +638,19 @@ def psi_boundedness(conn: ConnectionField, psi: TensorField, rays,
     """Extendability test for the c-projective structure: the tracefree
     coefficients extrapolate convergently while the raw coefficients diverge;
     reports the vanishing ratio max|Psi| / max|Gamma| at the tightest sample."""
+    rays = list(rays)
     ok = True
     ratios = []
-    for ray in rays:
-        samples = ray.samples()
-        psi_vals = [np.abs(psi.value(s)).max() for s in samples]
-        gamma_vals = [np.abs(conn.value(s)).max() for s in samples]
-        for _, est in _component_limits(psi, ray, tol, fit_order):
-            ok &= est.converged
+    for psi_samples, gamma_samples in zip(along_rays(psi, rays),
+                                          along_rays(conn.coeffs, rays)):
+        psi_vals = geo.max_abs_per_point(psi_samples)
+        gamma_vals = geo.max_abs_per_point(gamma_samples)
+        ok &= all(c for _, _, c in _component_limits(psi_samples, tol, fit_order))
         if gamma_vals[-1] > 1e-12:
             ratios.append(psi_vals[-1] / gamma_vals[-1])
         else:
             ratios.append(math.inf)
-        ok &= gamma_vals[-1] > gamma_vals[0]      # raw coefficients blow up
+        ok &= bool(gamma_vals[-1] > gamma_vals[0])      # raw coefficients blow up
     return Certificate("tracefree-coefficient-boundedness", ok,
                        diagnostics={"final_psi_to_gamma_ratio": max(ratios),
                                     "tolerance": tol})

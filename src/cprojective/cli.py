@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -141,7 +142,26 @@ def validate_config(raw):
     cfg["tolerances"] = tols
     cfg["seed"] = _number(raw.get("seed", 1234), int, "'seed'")
     cfg["raw"] = raw
+    if isinstance(jspec, list):
+        _check_complex_structure(cfg["J"], interior_points(cfg))
     return cfg
+
+
+def interior_points(cfg):
+    """The seeded interior sample points of a config, as a (20, n) batch."""
+    rho = cfg["rho_expr"]
+    return geo.seeded_points(cfg["chart"], count=20, seed=cfg["seed"],
+                             radius=0.6 if rho is not None else 0.5,
+                             rho=rho, rho_min=0.05)
+
+
+def _check_complex_structure(J, points, tol=1e-8):
+    """An explicit J must square to -1; checked at the seeded points."""
+    Jm = J.field.value(points)
+    residual = float(np.abs(Jm @ Jm + np.eye(Jm.shape[-1])).max())
+    if not residual <= tol:
+        raise ConfigError(f"'J' does not square to -1: max |J^2 + I| = "
+                          f"{residual:.3e} at the seeded points")
 
 
 def _number(value, convert, what):
@@ -204,12 +224,7 @@ class GeometryContext:
 
     @property
     def points(self):
-        def build():
-            rho = self.cfg["rho_expr"]
-            radius = 0.6 if rho is not None else 0.5
-            return geo.seeded_points(self.chart, count=20, seed=self.cfg["seed"],
-                                     radius=radius, rho=rho, rho_min=0.05)
-        return self._get("points", build)
+        return self._get("points", lambda: interior_points(self.cfg))
 
     @property
     def conn(self):
@@ -272,7 +287,7 @@ class GeometryContext:
         if self.J.is_constant:
             return True
         N = geo.nijenhuis(self.J)
-        return all(np.abs(N.value(x)).max() < 1e-10 for x in self.points[:5])
+        return bool((geo.max_abs_per_point(N.value(self.points[:5])) < 1e-10).all())
 
 
 def _cert_entry(name, anchor, verdict, diagnostics):
@@ -325,21 +340,16 @@ def run_certificates(ctx: GeometryContext, entries=None):
 
     # 4. metricity residual
     res_field = tr.metricity_residual(ctx.sigma, ctx.conn)
-    res = max(float(np.abs(res_field.value(x)).max()) for x in ctx.points)
+    res = geo.max_abs_over_points(res_field, ctx.points)
     push("metricity", "metricity-equation", res < tol["metricity"],
          residual=res, tolerance=tol["metricity"])
 
     # 5. det H proportional to S
     L = tr.splitting_L_sigma(ctx.sigma, ctx.scale)
     detH = tr.det_H(L)
-    ratios = []
-    applicable = True
-    for x in ctx.points:
-        s_val = float(ctx.S.value(x))
-        if abs(s_val) < 1e-12:
-            applicable = False
-            break
-        ratios.append(float(detH.value(x)) / s_val)
+    s_vals = ctx.S.value(ctx.points)
+    applicable = not (np.abs(s_vals) < 1e-12).any()
+    ratios = (detH.value(ctx.points) / s_vals).tolist() if applicable else []
     if applicable and ratios:
         mean = float(np.mean(ratios))
         spread = (max(ratios) - min(ratios)) / abs(mean) if mean != 0 else math.inf
@@ -429,7 +439,7 @@ def run_certificates(ctx: GeometryContext, entries=None):
 
     # 13. Einstein residual
     er_field = tr.einstein_residual(ctx.sigma, ctx.scale)
-    er = max(float(np.abs(er_field.value(x)).max()) for x in ctx.points)
+    er = geo.max_abs_over_points(er_field, ctx.points)
     push("einstein-residual", "normal-solution-einstein", er < tol["einstein"],
          residual=er, tolerance=tol["einstein"])
 
@@ -468,8 +478,7 @@ def build_report(cfg):
         error = f"{type(err).__name__}: {err}"
     report = {"meta": meta, "certificates": entries}
     if error is None:
-        ref = ctx.points[0]
-        eigs = np.linalg.eigvalsh(ctx.g.value(ref))
+        eigs = np.linalg.eigvalsh(ctx.g.value(ctx.points)[0])
         report["signature"] = {
             "metric": [int(np.sum(eigs > 0)), int(np.sum(eigs < 0))],
             "levi": levi_signature,
@@ -536,7 +545,8 @@ SWEEP_QUANTITIES = ("S", "g", "h", "rho2R-defect", "rhoP-defect",
 
 
 def sweep_rows(ctx: GeometryContext, quantity, ray):
-    """Header names and per-sample rows for a registered quantity."""
+    """Header names and per-sample rows for a registered quantity, from one
+    evaluation on the batch of the ray's samples."""
     n = ctx.chart.n
     names = ctx.chart.names
     sym_pairs = [(a, b) for a in range(n) for b in range(a, n)]
@@ -551,18 +561,21 @@ def sweep_rows(ctx: GeometryContext, quantity, ray):
         "psi": "structure-extendability",
         "detH-over-S": "gram-determinant-vs-scalar-curvature",
     }
+    upper = np.triu_indices(n)
+    # (c, a, b) for c in range(n) for a <= b, in column order
+    coeff_index = tuple(np.array([(c, a, b) for c in range(n) for a, b in sym_pairs]).T)
     if quantity == "S":
         cols = ["S"]
-        fn = lambda s: [float(ctx.S.value(s))]
+        fn = lambda X: ctx.S.value(X)[:, None]
     elif quantity == "g":
         cols = [f"g[{names[a]}:{names[b]}]" for a, b in sym_pairs]
-        fn = lambda s: [float(ctx.g.value(s)[a, b]) for a, b in sym_pairs]
+        fn = lambda X: ctx.g.value(X)[:, upper[0], upper[1]]
     elif quantity == "h":
         if ctx.C is None:
             raise ConfigError("quantity 'h' needs a constant C in the config")
         h = bd.asymptotic_smooth_part(ctx.g, ctx.rho, ctx.C, ctx.J)
         cols = [f"h[{names[a]}:{names[b]}]" for a, b in sym_pairs]
-        fn = lambda s: [float(h.value(s)[a, b]) for a, b in sym_pairs]
+        fn = lambda X: h.value(X)[:, upper[0], upper[1]]
     elif quantity == "rho2R-defect":
         if ctx.C is None:
             raise ConfigError("quantity 'rho2R-defect' needs a constant C")
@@ -573,7 +586,7 @@ def sweep_rows(ctx: GeometryContext, quantity, ray):
         defect = geo.field_einsum(",abcd->abcd", rho2, ctx.R, (-1, -1, +1, -1)) \
             + Cf.scaled(0.25)
         cols = ["max-abs-defect"]
-        fn = lambda s: [float(np.abs(defect.value(s)).max())]
+        fn = lambda X: geo.max_abs_per_point(defect.value(X))[:, None]
     elif quantity == "rhoP-defect":
         phi = bd.gradient_squared_form(ctx.rho, ctx.J)
         rho_f = ctx.rho.field()
@@ -583,32 +596,28 @@ def sweep_rows(ctx: GeometryContext, quantity, ray):
         nd = geo.covariant_derivative(ctx.conn_hat, ctx.rho.one_form())
         defect = lhs - nd.scaled(0.5)
         cols = ["max-abs-defect"]
-        fn = lambda s: [float(np.abs(defect.value(s)).max())]
+        fn = lambda X: geo.max_abs_per_point(defect.value(X))[:, None]
     elif quantity == "tau-over-rho":
         cols = ["tau-over-rho"]
-        fn = lambda s: [float(ctx.tau.value(s)) / ctx.rho.value(s)]
+        fn = lambda X: (ctx.tau.value(X) / ctx.rho.value(X))[:, None]
     elif quantity == "gammahat":
         cols = [f"Ghat[{names[c]}:{names[a]}:{names[b]}]"
                 for c in range(n) for a, b in sym_pairs]
-        fn = lambda s: [float(ctx.conn_hat.value(s)[c, a, b])
-                        for c in range(n) for a, b in sym_pairs]
+        fn = lambda X: ctx.conn_hat.value(X)[(slice(None),) + coeff_index]
     elif quantity == "psi":
         psi = cp.tracefree_coefficients(ctx.conn, ctx.J)
         cols = [f"Psi[{names[c]}:{names[a]}:{names[b]}]"
                 for c in range(n) for a, b in sym_pairs]
-        fn = lambda s: [float(psi.value(s)[c, a, b])
-                        for c in range(n) for a, b in sym_pairs]
+        fn = lambda X: psi.value(X)[(slice(None),) + coeff_index]
     elif quantity == "detH-over-S":
         L = tr.splitting_L_sigma(ctx.sigma, ctx.scale)
         detH = tr.det_H(L)
         cols = ["detH-over-S"]
-        fn = lambda s: [float(detH.value(s)) / float(ctx.S.value(s))]
+        fn = lambda X: (detH.value(X) / ctx.S.value(X))[:, None]
     else:
         raise ConfigError(f"unknown quantity {quantity!r}; choose from "
                           + ", ".join(SWEEP_QUANTITIES))
-    rows = []
-    for t, s in zip(ray.ts(), ray.samples()):
-        rows.append([t] + fn(s))
+    rows = [[t] + values for t, values in zip(ray.ts(), fn(ray.points()).tolist())]
     return anchor[quantity], cols, rows
 
 
@@ -649,11 +658,11 @@ def cmd_limits(config_path, expr_text, ray_text):
     ray = _parse_ray_spec(ray_text, ctx)
     expr = _parse_expr(expr_text, _LimitNames(), "limit expression")
 
-    def fn(s):
-        vals = [float(ctx.S.value(s)), ctx.rho.value(s), float(ctx.tau.value(s))]
-        return fx.evaluate(expr, vals)
+    def fn(x):
+        scalars = [ctx.S.value(x), ctx.rho.value(x), ctx.tau.value(x)]
+        return fx.evaluate(expr, np.stack(scalars, axis=-1))
 
-    est = bd.extrapolate_limit(fn, ray, tol=1e-8, order=cfg["order"])
+    est, = bd.limits_along_rays(fn, [ray], tol=1e-8, order=cfg["order"])
     payload = {
         "expression": expr_text,
         "value": est.value,
@@ -673,7 +682,11 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def main(argv=None):
+@functools.lru_cache(maxsize=None)
+def _argument_parser():
+    """Built once per process: an argparse parser is a web of reference
+    cycles, and one built per call would be garbage that only the cyclic
+    collector frees."""
     parser = argparse.ArgumentParser(
         prog="cprojective",
         description="Certify compactification asymptotics of Hermitean metrics "
@@ -696,6 +709,11 @@ def main(argv=None):
     p_limits.add_argument("--expr", required=True)
     p_limits.add_argument("--ray", required=True)
 
+    return parser
+
+
+def main(argv=None):
+    parser = _argument_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "report":

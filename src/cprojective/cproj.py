@@ -76,11 +76,15 @@ def modified_connection_for_defining_function(conn: ConnectionField, rho,
     Evaluation is restricted to the interior rho > 0."""
     hat = cproj_change(conn, defining_one_form(rho, conn.chart), J)
     inner = hat.coeffs
+    rho_tape = fx.compile_tape([rho])
 
     def guarded(x, k):
-        if fx.evaluate(rho, x) <= 0.0:
+        points = np.atleast_2d(x)
+        outside = fx.evaluate(rho_tape, points)[:, 0] <= 0.0
+        if outside.any():
+            point = tuple(points[outside.argmax()].tolist())
             raise fx.EvaluationDomainError(
-                rho, f"defining function is non-positive at {tuple(x)}")
+                rho, f"defining function is non-positive at {point}")
         return inner.jet(x, k)
 
     coeffs = geo.TensorField(conn.chart, (+1, -1, -1), 0.0, guarded, "G-hat")

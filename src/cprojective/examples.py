@@ -125,8 +125,8 @@ def _check_nondegenerate(geom, seed, count=12, floor=1e-6):
     pts = geo.seeded_points(geom.chart, count=count, seed=seed, radius=0.6,
                             rho=geom.rho, rho_min=0.05)
     signatures = set()
-    for x in pts:
-        eigs = np.linalg.eigvalsh(geom.g.value(x))
+    for g in geom.g.value(pts):
+        eigs = np.linalg.eigvalsh(g)
         if np.min(np.abs(eigs)) < floor:
             raise geo.GeometryError(
                 f"metric degenerates on the probe region (|eig| < {floor})")

@@ -5,9 +5,10 @@ products, quotients, real powers, exp, log, sqrt and negation.  Nodes are
 hash-consed (structurally identical subtrees are the same object), which keeps
 repeated differentiation from blowing up.  Evaluation goes through a Tape: the
 shared DAG of one or more roots recorded once as a straight-line program, then
-replayed per point.  Everything downstream (metrics, connections, curvature)
-bottoms out in these trees, so differentiation here is exact symbolic
-rewriting, never a finite-difference scheme.
+replayed over a whole batch of points at once.  Everything downstream
+(metrics, connections, curvature) bottoms out in these trees, so
+differentiation here is exact symbolic rewriting, never a finite-difference
+scheme.
 """
 
 from __future__ import annotations
@@ -320,7 +321,10 @@ def pow_(a, p: float):
             raise EvaluationDomainError(a, "zero raised to a negative power")
         if a.value < 0.0 and p != int(p):
             raise EvaluationDomainError(a, "negative base with non-integer exponent")
-        return const(a.value ** p)
+        try:
+            return const(a.value ** p)
+        except OverflowError:
+            raise EvaluationDomainError(a, "power overflow") from None
     return _intern(("^", id(a), p), lambda: Pow(a, p))
 
 
@@ -366,21 +370,24 @@ _OPCODE = {Add: _ADD, Mul: _MUL, Neg: _NEG, Div: _DIV, Pow: _POW, Exp: _EXP,
 class Tape:
     """Straight-line program that computes a list of expression roots.
 
-    Instruction i = (op, a, b) computes the value of node i into slot i from
-    the slots a and b before it (a power keeps its exponent in b, a constant
+    Instruction i = (op, d, a, b) computes the value of node i into register
+    d from the registers a and b (a power keeps its exponent in b, a constant
     its value, a variable its coordinate index in a).  The instructions are
     in the order a memoized post-order walk over the roots visits the nodes,
     shared subtrees once, so each node costs the same float operation on the
     same operands, and the first node to leave its domain is the one the walk
-    would meet first.
+    would meet first.  A register is reused as soon as the last instruction
+    reading its value has run, so a replay over a batch of points holds only
+    the values still needed.
     """
 
-    __slots__ = ("code", "nodes", "outputs")
+    __slots__ = ("code", "nodes", "outputs", "registers")
 
-    def __init__(self, code, nodes, outputs):
+    def __init__(self, code, nodes, outputs, registers):
         self.code = code
         self.nodes = nodes          # nodes[i] is the node instruction i computes
-        self.outputs = outputs      # slot of each root
+        self.outputs = outputs      # register of each root
+        self.registers = registers
 
 
 def compile_tape(roots) -> Tape:
@@ -421,60 +428,129 @@ def compile_tape(roots) -> Tape:
             slot[key] = len(code)
             code.append(instr)
             nodes.append(node)
-    return Tape(code, nodes, [slot[id(r)] for r in roots])
+    outputs = [slot[id(r)] for r in roots]
+    return _allocate_registers(code, nodes, outputs)
+
+
+def _allocate_registers(code, nodes, outputs):
+    """Map the value of every instruction to a register, reusing the
+    register of a value after the last instruction that reads it; roots
+    keep theirs to the end."""
+    size = len(code)
+    last = [0] * size
+    for i, (op, a, b) in enumerate(code):
+        if op < _CONST:
+            last[a] = i
+            if op == _ADD or op == _MUL or op == _DIV:
+                last[b] = i
+    for s in outputs:
+        last[s] = size
+    reg = [0] * size
+    free = []
+    count = 0
+    allocated = []
+    for i, (op, a, b) in enumerate(code):
+        if op < _CONST:
+            ra = reg[a]
+            if last[a] == i:
+                free.append(ra)
+            if op == _ADD or op == _MUL or op == _DIV:
+                rb = reg[b]
+                if last[b] == i and b != a:
+                    free.append(rb)
+                b = rb
+            a = ra
+        if free:
+            d = free.pop()
+        else:
+            d = count
+            count += 1
+        reg[i] = d
+        allocated.append((op, d, a, b))
+    return Tape(allocated, nodes, [reg[s] for s in outputs], count)
+
+
+def _libm(fn, column):
+    """fn from the math module on every element of a column: the platform's
+    libm gives each point of a batch the bits it gets alone, which numpy's
+    vectorized exp, log and power do not."""
+    return np.array([fn(v) for v in column.tolist()])
+
+
+def _power(column, p, node):
+    try:
+        return np.array([v ** p for v in column.tolist()])
+    except OverflowError:
+        raise EvaluationDomainError(node, "power overflow") from None
+
+
+def _first(column, mask):
+    return float(column[mask.argmax()])
 
 
 def evaluate(e, x):
-    """Evaluate at a point: an expression gives its value, a Tape the list of
-    its root values.  One linear pass over the tape, with every domain check
-    of the node it computes."""
+    """Evaluate at a point (shape (n,)) or at a batch of points (shape
+    (B, n)).  An expression gives its value at a point and a (B,) array on a
+    batch; a Tape gives the list of its root values at a point and a
+    (B, roots) array on a batch.  One linear pass over the tape, every
+    instruction on the (B,) column of its node's values, with every domain
+    check of that node: the first node outside its domain at any point
+    raises, with the value at the first such point."""
     if not isinstance(e, Tape):
-        return evaluate(compile_tape([e]), x)[0]
-    v = []
-    ap = v.append
-    for op, a, b in e.code:
-        if op == _ADD:
-            ap(v[a] + v[b])
-        elif op == _MUL:
-            ap(v[a] * v[b])
-        elif op == _NEG:
-            ap(-v[a])
-        elif op == _CONST:
-            ap(b)
-        elif op == _VAR:
-            ap(float(x[a]))
-        elif op == _DIV:
-            d = v[b]
-            if d == 0.0:
-                raise EvaluationDomainError(e.nodes[len(v)], "division by zero")
-            ap(v[a] / d)
-        elif op == _POW:
-            val = v[a]
-            if val == 0.0 and b < 0.0:
-                raise EvaluationDomainError(e.nodes[len(v)],
-                                            "zero raised to a negative power")
-            if val < 0.0 and b != int(b):
-                raise EvaluationDomainError(e.nodes[len(v)],
-                                            "negative base with non-integer exponent")
-            ap(val ** b)
-        elif op == _EXP:
-            val = v[a]
-            if val > 709.0:
-                raise EvaluationDomainError(e.nodes[len(v)], "exp overflow")
-            ap(math.exp(val))
-        elif op == _LOG:
-            val = v[a]
-            if val <= 0.0:
-                raise EvaluationDomainError(e.nodes[len(v)],
-                                            f"log of non-positive value {val}")
-            ap(math.log(val))
-        else:
-            val = v[a]
-            if val < 0.0:
-                raise EvaluationDomainError(e.nodes[len(v)],
-                                            f"sqrt of negative value {val}")
-            ap(math.sqrt(val))
-    return [v[i] for i in e.outputs]
+        values = evaluate(compile_tape([e]), x)
+        return values[0] if isinstance(values, list) else values[:, 0]
+    x = np.asarray(x, dtype=float)
+    cols = np.ascontiguousarray(np.atleast_2d(x).T)
+    v = [None] * e.registers
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (op, d, a, b) in enumerate(e.code):
+            if op == _ADD:
+                v[d] = v[a] + v[b]
+            elif op == _MUL:
+                v[d] = v[a] * v[b]
+            elif op == _NEG:
+                v[d] = -v[a]
+            elif op == _CONST:
+                v[d] = b
+            elif op == _VAR:
+                v[d] = cols[a]
+            elif op == _DIV:
+                den = v[b]
+                if (den == 0.0).any():
+                    raise EvaluationDomainError(e.nodes[i], "division by zero")
+                v[d] = v[a] / den
+            elif op == _POW:
+                val = v[a]
+                if b < 0.0 and (val == 0.0).any():
+                    raise EvaluationDomainError(e.nodes[i],
+                                                "zero raised to a negative power")
+                if b != int(b) and (val < 0.0).any():
+                    raise EvaluationDomainError(e.nodes[i],
+                                                "negative base with non-integer exponent")
+                v[d] = _power(val, b, e.nodes[i])
+            elif op == _EXP:
+                val = v[a]
+                if (val > 709.0).any():
+                    raise EvaluationDomainError(e.nodes[i], "exp overflow")
+                v[d] = _libm(math.exp, val)
+            elif op == _LOG:
+                val = v[a]
+                bad = val <= 0.0
+                if bad.any():
+                    raise EvaluationDomainError(
+                        e.nodes[i], f"log of non-positive value {_first(val, bad)}")
+                v[d] = _libm(math.log, val)
+            else:
+                val = v[a]
+                bad = val < 0.0
+                if bad.any():
+                    raise EvaluationDomainError(
+                        e.nodes[i], f"sqrt of negative value {_first(val, bad)}")
+                v[d] = np.sqrt(val)
+    out = np.empty((cols.shape[1], len(e.outputs)))
+    for j, r in enumerate(e.outputs):
+        out[:, j] = v[r]
+    return out[0].tolist() if x.ndim == 1 else out
 
 
 def derivative_trees(e: ScalarExpr, multi_index) -> ScalarExpr:

@@ -16,6 +16,7 @@ density (weight -2m-2) is parallel for metric connections.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +50,19 @@ class TensorField:
         return len(self.variance)
 
     def jet(self, x, order) -> Jet:
-        key = tuple(float(v) for v in x)
+        """Jet at a point x of shape (n,), or at every point of a batch of
+        shape (B, n): then every term has a leading batch axis of length B.
+        Jets are cached per point or batch."""
+        x = np.asarray(x, dtype=float)
+        key = (x.shape, x.tobytes())
         cached = self._cache.get(key)
         if cached is not None and cached.order >= order:
             return cached.truncated(order)
-        jet = self._jet_fn(key, order)
+        jet = self._jet_fn(x, order)
+        if x.ndim > 1 and jet.terms[0].ndim == len(jet.comp_shape):
+            # a constant: give it the batch axis callers index by point
+            jet = Jet(jet.n, jet.comp_shape,
+                      [np.broadcast_to(t, x.shape[:-1] + t.shape) for t in jet.terms])
         self._cache[key] = jet
         return jet
 
@@ -102,7 +111,8 @@ def tensor_from_exprs(chart, comps, variance, weight=0.0, name=""):
     The first jet of each order compiles the derivative trees of every
     component along every sorted multi-index up to that order into one Tape,
     with one gather index per order that fills the symmetric derivative
-    array; every later point of that order is one pass over the tape.
+    array; every later point or batch of that order is one pass over the
+    tape.
     """
     comps = np.asarray(comps, dtype=object)
     n = chart.n
@@ -125,8 +135,10 @@ def tensor_from_exprs(chart, comps, variance, weight=0.0, name=""):
         if program is None:
             program = programs[order] = compile_jet(order)
         tape, gathers = program
-        values = np.array(fx.evaluate(tape, x))
-        return Jet(n, comps.shape, [np.asarray(values[g]) for g in gathers])
+        values = fx.evaluate(tape, np.atleast_2d(x))
+        if x.ndim == 1:
+            values = values[0]
+        return Jet(n, comps.shape, [values[..., g] for g in gathers])
 
     return TensorField(chart, variance, weight, jet_fn, name)
 
@@ -182,8 +194,12 @@ class AlmostComplexStructure:
 def standard_J(chart) -> AlmostComplexStructure:
     """Constant complex structure with J dx_k = dy_k in interleaved coordinates.
 
-    Built once per chart and kept on the chart, so it is released with it."""
+    Calls for one chart share one J while it is in use.  The chart holds it
+    through a weak reference: a strong one would make a reference cycle
+    (J.chart is the chart) that only the cyclic garbage collector frees,
+    holding J's jet caches until it runs."""
     cached = getattr(chart, "_standard_J", None)
+    cached = cached() if cached is not None else None
     if cached is not None:
         return cached
     n = chart.n
@@ -195,7 +211,7 @@ def standard_J(chart) -> AlmostComplexStructure:
                      dtype=object)
     J = AlmostComplexStructure(chart, exprs)
     J.constant_matrix = M
-    chart._standard_J = J
+    chart._standard_J = weakref.ref(J)
     return J
 
 
@@ -453,19 +469,26 @@ def quasi_kahler_check(g: TensorField, J: AlmostComplexStructure, points,
     JJ = field_einsum("ie,ja->eaij", Jf, Jf, (-1, -1, +1, +1))
     rotated = field_einsum("eaij,ijb->eab", JJ, nabla_omega, (-1, -1, -1))
     residual_field = nabla_omega + rotated
-    residual = 0.0
-    for x in points:
-        residual = max(residual, float(np.abs(residual_field.value(x)).max()))
+    residual = max_abs_over_points(residual_field, points, 0.0)
     return residual < tol, residual
 
 
 def hermitean_metric_residual(g: TensorField, J: AlmostComplexStructure, points):
-    res = 0.0
     gJJ = _conjugate_by_J(g, J.field)
-    diff = g - gJJ
-    for x in points:
-        res = max(res, float(np.abs(diff.value(x)).max()))
-    return res
+    return max_abs_over_points(g - gJJ, points, 0.0)
+
+
+def max_abs_per_point(values):
+    """max |component| of each point of a batch of field values."""
+    return np.abs(values).reshape(len(values), -1).max(axis=1)
+
+
+def max_abs_over_points(field: TensorField, points, start=None):
+    """The largest |component| of a field over a list or batch of points
+    (from start, when given), from one evaluation on the batch."""
+    X = np.asarray(points, dtype=float).reshape(-1, field.chart.n)
+    per_point = max_abs_per_point(field.value(X)).tolist() if len(X) else []
+    return max(per_point) if start is None else max([start] + per_point)
 
 
 def canonical_connection(g: TensorField, J: AlmostComplexStructure,
@@ -502,13 +525,16 @@ def canonical_connection(g: TensorField, J: AlmostComplexStructure,
 
 
 def seeded_points(chart, count, seed, radius=0.6, rho=None, rho_min=0.05):
-    """Deterministic interior sample points; rejection-sampled against a
-    defining function when one is supplied."""
+    """Deterministic interior sample points as a (count, n) batch;
+    rejection-sampled against a defining function when one is supplied.
+    Candidates are drawn in batches of the number still missing, so no
+    candidate past the last accepted one is ever evaluated."""
     rng = np.random.default_rng(seed)
-    pts = []
+    tape = fx.compile_tape([rho]) if rho is not None else None
+    pts = np.empty((0, chart.n))
     while len(pts) < count:
-        x = rng.uniform(-radius, radius, size=chart.n)
-        if rho is not None and fx.evaluate(rho, x) < rho_min:
-            continue
-        pts.append(x)
+        candidates = rng.uniform(-radius, radius, size=(count - len(pts), chart.n))
+        if tape is not None:
+            candidates = candidates[~(fx.evaluate(tape, candidates)[:, 0] < rho_min)]
+        pts = np.concatenate([pts, candidates])
     return pts

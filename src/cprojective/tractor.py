@@ -284,10 +284,13 @@ def einstein_residual(sigma: TensorField, scale: Scale) -> TensorField:
 
 
 def _require_mu_zero(s: HStarSection, x, tol=1e-8):
-    mu = s.mu.value(x)
-    if np.abs(mu).max() > tol:
+    points = np.atleast_2d(x)
+    mu = np.abs(s.mu.value(x)).reshape(len(points), -1).max(axis=1)
+    above = mu > tol
+    if above.any():
+        i = above.argmax()
         raise TractorError("operation requires a scale with vanishing middle slot"
-                           f" (|mu| = {np.abs(mu).max():.3e} at {tuple(x)})")
+                           f" (|mu| = {mu[i]:.3e} at {tuple(points[i].tolist())})")
 
 
 def det_H(s: HStarSection, tol_mu: float = 1e-8) -> TensorField:
@@ -302,7 +305,7 @@ def det_H(s: HStarSection, tol_mu: float = 1e-8) -> TensorField:
         dets = jdet(s.sigma.jet(x, k))
         nu = s.nu.jet(x, k)
         gram = jmul(",->", dets, jmul(",->", nu, nu))
-        sign = 1.0 if float(gram.terms[0]) >= 0 else -1.0
+        sign = np.where(gram.terms[0] >= 0, 1.0, -1.0)
         return jabs_pow(gram, 0.5).scaled(sign)
 
     return TensorField(chart, (), 0.0, jet_fn, "detH")
@@ -316,7 +319,7 @@ def invert_H(s: HStarSection, tol_mu: float = 1e-8) -> HSection:
     def tau_fn(x, k):
         _require_mu_zero(s, x, tol_mu)
         nu = s.nu.jet(x, k)
-        if float(nu.terms[0]) == 0.0:
+        if (nu.terms[0] == 0.0).any():
             raise TractorError("inverse undefined where nu vanishes")
         return jrecip(nu)
 
@@ -338,7 +341,7 @@ def invert_H_section(h: HSection, tol_phi: float = 1e-8) -> HStarSection:
         if np.abs(h.phi.value(x)).max() > tol_phi:
             raise TractorError("inversion requires a vanishing middle slot")
         tau = h.tau.jet(x, k)
-        if float(tau.terms[0]) == 0.0:
+        if (tau.terms[0] == 0.0).any():
             raise TractorError("inverse undefined where tau vanishes")
         return jrecip(tau)
 

@@ -1,4 +1,6 @@
+import gc
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +16,13 @@ PERTURBED_CONFIG = REPO / "configs" / "perturbed_ball.json"
 
 
 def run_cli(args):
+    # the package is imported from src/, also when only pytest's own
+    # pythonpath setting put it on the path of this process
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, "-m", "cprojective.cli"] + args,
-                          capture_output=True, text=True, cwd=REPO)
+                          capture_output=True, text=True, cwd=REPO, env=env)
     return proc
 
 
@@ -164,9 +171,11 @@ def _set(path, value):
     _set(("rho",), "1 - x1^2 - y1^2 - x2^2 - y2^2 + log(0-1)"),
     _set(("rho",), "1 - x1^2 - y1^2 - x2^2 - y2^2 + (0-8)^0.5"),
     _set(("rho",), "1 - x1^2 - y1^2 - x2^2 - y2^2 + exp(710)"),
+    _set(("rho",), "1 - x1^2 - y1^2 - x2^2 - y2^2 + 10^400"),
 ], ids=["K-text", "K-inf", "t0-text", "order-null", "seed-text", "tolerance-text",
         "tolerances-list", "schedule-list", "patch-text", "patch-null",
-        "rho-div-zero", "rho-log-negative", "rho-negative-root", "rho-exp-overflow"])
+        "rho-div-zero", "rho-log-negative", "rho-negative-root", "rho-exp-overflow",
+        "rho-pow-overflow"])
 def test_bad_config_value_exit_2(tmp_path, capsys, edit):
     cfg = json.loads(BALL_CONFIG.read_text())
     edit(cfg)
@@ -259,6 +268,47 @@ def test_explicit_J_matrix_config(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert all(c["verdict"] != "fail" for c in report["certificates"])
+
+
+def test_J_not_squaring_to_minus_one_exit_2(tmp_path, capsys):
+    cfg = json.loads(BALL_CONFIG.read_text())
+    cfg["J"] = [["0", "-1", "0", "0"], ["2", "0", "0", "0"],
+                ["0", "0", "0", "-1"], ["0", "0", "1", "0"]]
+    path = tmp_path / "badJ.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["report", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: 'J' does not square to -1")
+    assert "max |J^2 + I| = 1.000e+00" in captured.err
+
+
+def test_power_overflow_along_a_ray_exit_3(tmp_path, capsys):
+    """x1^2 overflows at x1 = 1e155: an evaluation error, not a traceback."""
+    cfg = json.loads(BALL_CONFIG.read_text())
+    cfg["rho"] += " + (1 + 1e-300*x1)^400"
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(cfg))
+    code = cli.main(["sweep", "--config", str(path), "--quantity", "S",
+                     "--ray", "1e155,0,0,0"])
+    assert code == 3
+    assert capsys.readouterr().err == \
+        "evaluation error: EvaluationDomainError: power overflow\n"
+
+
+def test_report_leaves_no_cyclic_garbage(capsys):
+    """Everything a report builds is freed by reference counting, so
+    repeated in-process reports do not pile up garbage between collections."""
+    argv = ["report", "--config", str(FLAT_CONFIG)]
+    cli.main(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        cli.main(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_limits_scalar_curvature(capsys):

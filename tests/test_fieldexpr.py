@@ -264,3 +264,17 @@ def test_tape_records_shared_subtrees_once():
 def test_constant_folding_rejects_constants_outside_their_domain(text, message):
     with pytest.raises(ArithmeticError, match=message):
         fx.parse_expression(text, CHART)
+
+
+def test_power_overflow_is_a_domain_error():
+    e = fx.parse_expression("x1^2 + y1", CHART)
+    with pytest.raises(fx.EvaluationDomainError, match="^power overflow$") as err:
+        fx.evaluate(e, [1e155, 0, 0, 0])
+    assert err.value.node is fx.pow_(fx.var(CHART, 0), 2.0)
+    with pytest.raises(fx.EvaluationDomainError, match="^power overflow$"):
+        fx.evaluate(e, np.array([[1.0, 0, 0, 0], [1e155, 0, 0, 0]]))
+
+
+def test_constant_power_overflow_is_a_domain_error():
+    with pytest.raises(fx.EvaluationDomainError, match="^power overflow$"):
+        fx.parse_expression("x1 + 10^400", CHART)

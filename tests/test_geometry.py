@@ -595,3 +595,17 @@ def test_standard_J_is_kept_on_its_chart():
     del chart
     gc.collect()
     assert ref() is None
+
+
+def test_standard_J_and_its_chart_need_no_cycle_collector():
+    """Reference counting alone frees a chart and its standard J."""
+    gc.collect()
+    gc.disable()
+    try:
+        chart = fx.Chart(2)
+        ref = weakref.ref(chart)
+        geo.standard_J(chart).field.jet(np.array([[0.1, 0.2, 0.3, 0.4]] * 3), 1)
+        del chart
+        assert ref() is None
+    finally:
+        gc.enable()
