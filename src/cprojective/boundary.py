@@ -22,6 +22,7 @@ from . import fieldexpr as fx
 from . import geometry as geo
 from .geometry import (AlmostComplexStructure, ConnectionField, TensorField,
                        covariant_derivative, field_einsum, tensor_constant)
+from .jets import jrecip
 
 
 class BoundaryError(ValueError):
@@ -31,29 +32,38 @@ class BoundaryError(ValueError):
 @dataclass
 class DefiningFunction:
     """rho >= 0 with the interior on the positive side and d(rho) nonvanishing
-    on the probed boundary patch."""
+    on the probed boundary patch.
+
+    The expression becomes one leaf field.  d(rho), 1/rho and every field
+    built from them below (theta, d(theta), the metric g_rho, the defect
+    fields) are jet composites of that leaf, so they share its jet cache and
+    its tapes."""
     chart: fx.Chart
     expr: fx.ScalarExpr
 
     def __post_init__(self):
-        self.gradient = [fx.differentiate(self.expr, i) for i in range(self.chart.n)]
-        self._value_tape = fx.compile_tape([self.expr])
-        self._grad_tape = fx.compile_tape(self.gradient)
+        leaf = geo.scalar_from_expr(self.chart, self.expr, 0.0, "rho")
+        self._field = leaf
+        self._one_form = geo.coordinate_derivative(leaf)
+        self._one_form.name = "drho"
+        self._reciprocal = TensorField(self.chart, (), 0.0,
+                                       lambda x, k: jrecip(leaf.jet(x, k)), "1/rho")
 
     def value(self, x):
-        """rho at a point (a float) or at a batch of points (a (B,) array)."""
-        values = fx.evaluate(self._value_tape, x)
-        return values[0] if isinstance(values, list) else values[:, 0]
+        """rho at a point (a 0-d array) or at a batch of points (a (B,) array)."""
+        return self._field.value(x)
 
     def grad(self, x):
-        return np.array(fx.evaluate(self._grad_tape, x))
+        return self._one_form.value(x)
 
     def field(self):
-        return geo.scalar_from_expr(self.chart, self.expr, 0.0, "rho")
+        return self._field
 
     def one_form(self):
-        return geo.tensor_from_exprs(self.chart, np.array(self.gradient, dtype=object),
-                                     (-1,), 0.0, "drho")
+        return self._one_form
+
+    def reciprocal(self):
+        return self._reciprocal
 
 
 def theta(rho: DefiningFunction, J: AlmostComplexStructure) -> TensorField:
@@ -64,6 +74,29 @@ def theta(rho: DefiningFunction, J: AlmostComplexStructure) -> TensorField:
 def dtheta(theta_field: TensorField) -> TensorField:
     d = geo.coordinate_derivative(theta_field)
     return d - d.transposed((1, 0))
+
+
+def gradient_squared_form(rho: DefiningFunction, J: AlmostComplexStructure) -> TensorField:
+    """rho_a rho_b + theta_a theta_b."""
+    drho = rho.one_form()
+    th = theta(rho, J)
+    return field_einsum("a,b->ab", drho, drho, (-1, -1)) \
+        + field_einsum("a,b->ab", th, th, (-1, -1))
+
+
+def defining_metric(rho: DefiningFunction, J: AlmostComplexStructure) -> TensorField:
+    """Metric of a defining function, symmetrized (an exact no-op whenever
+    d(theta) is Hermitean):
+    g(xi, eta) = -rho^-2 (drho(xi) drho(eta) + theta(xi) theta(eta))
+                 + rho^-1 dtheta(xi, J eta)."""
+    inv = rho.reciprocal()
+    inv2 = field_einsum(",->", inv, inv, ())
+    dth_J = field_einsum("ai,ib->ab", dtheta(theta(rho, J)), J.field, (-1, -1))
+    raw = field_einsum(",ab->ab", inv, dth_J, (-1, -1)) \
+        - field_einsum(",ab->ab", inv2, gradient_squared_form(rho, J), (-1, -1))
+    g = (raw + raw.transposed((1, 0))).scaled(0.5)
+    g.name = "g_rho"
+    return g
 
 
 @dataclass
@@ -118,7 +151,8 @@ def project_to_boundary(rho: DefiningFunction, x, tol=1e-12, max_iter=60):
         g = rho.grad(x)
         norm2 = float(g @ g)
         if norm2 < 1e-12:
-            raise BoundaryError(f"defining function has degenerate gradient near {tuple(x)}")
+            raise BoundaryError("defining function has degenerate gradient near "
+                                f"{tuple(x.tolist())}")
         x = x - v * g / norm2
     raise BoundaryError("boundary projection did not converge")
 
@@ -315,15 +349,9 @@ def asymptotic_smooth_part(g: TensorField, rho: DefiningFunction, C: float,
                            J: AlmostComplexStructure) -> TensorField:
     """h = rho*g - (C/rho)(drho x drho + theta x theta); smooth up to the
     boundary exactly when g has the compactified normal form with constant C."""
-    chart = g.chart
-    rho_f = rho.field()
-    drho = rho.one_form()
-    th = theta(rho, J)
-    dd = field_einsum("a,b->ab", drho, drho, (-1, -1))
-    tt = field_einsum("a,b->ab", th, th, (-1, -1))
-    rho_g = field_einsum(",ab->ab", rho_f, g, (-1, -1))
-    inv_rho = geo.scalar_from_expr(chart, fx.const(1.0) / rho.expr)
-    correction = field_einsum(",ab->ab", inv_rho, dd + tt, (-1, -1)).scaled(C)
+    rho_g = field_einsum(",ab->ab", rho.field(), g, (-1, -1))
+    correction = field_einsum(",ab->ab", rho.reciprocal(),
+                              gradient_squared_form(rho, J), (-1, -1)).scaled(C)
     return rho_g - correction
 
 
@@ -477,14 +505,6 @@ def rank_one_curvature(phi: TensorField, J: AlmostComplexStructure,
     return t1 - t2 - t3
 
 
-def gradient_squared_form(rho: DefiningFunction, J: AlmostComplexStructure) -> TensorField:
-    """rho_a rho_b + theta_a theta_b."""
-    drho = rho.one_form()
-    th = theta(rho, J)
-    return field_einsum("a,b->ab", drho, drho, (-1, -1)) \
-        + field_einsum("a,b->ab", th, th, (-1, -1))
-
-
 def certify_curvature_asymptotics(R: TensorField, rho: DefiningFunction,
                                   J: AlmostComplexStructure, rays,
                                   order: int = 1, tol: float = 1e-6,
@@ -495,31 +515,33 @@ def certify_curvature_asymptotics(R: TensorField, rho: DefiningFunction,
     order 2 (integrable case): rho (R + (1/(4 rho^2)) C) minus half of the
     d(theta) insertion extrapolates to 0 componentwise.
     """
-    chart = R.chart
-    phi = gradient_squared_form(rho, J)
-    Cfield = rank_one_curvature(phi, J)
-    rho_f = rho.field()
-    rho2 = field_einsum(",->", rho_f, rho_f, ())
-    if order == 1:
-        defect = field_einsum(",abcd->abcd", rho2, R, (-1, -1, +1, -1)) \
-            + Cfield.scaled(0.25)
-    elif order == 2:
-        inner = R + field_einsum(",abcd->abcd",
-                                 geo.scalar_from_expr(
-                                     chart, fx.const(0.25) / (rho.expr * rho.expr)),
-                                 Cfield, (-1, -1, +1, -1))
-        th = theta(rho, J)
-        dth = dtheta(th)
-        E = _dtheta_insertion(dth, J)
-        defect = field_einsum(",abcd->abcd", rho_f, inner, (-1, -1, +1, -1)) \
-            - E.scaled(0.5)
-    else:
-        raise ValueError("order must be 1 or 2")
+    defect = curvature_defect(R, rho, J, order)
     ok, max_limit, max_err = _decay_to_zero(defect, rays, tol, fit_order)
     return Certificate(f"curvature-asymptotics-order{order}", ok,
                        diagnostics={"max_boundary_defect": max_limit,
                                     "max_error_estimate": max_err,
                                     "tolerance": tol})
+
+
+def curvature_defect(R: TensorField, rho: DefiningFunction,
+                     J: AlmostComplexStructure, order: int) -> TensorField:
+    """The field certify_curvature_asymptotics drives to zero, with
+    C = rank_one_curvature(drho x drho + theta x theta):
+    order 1: rho^2 R + (1/4) C;
+    order 2: rho (R + (1/(4 rho^2)) C) - (1/2) d(theta) insertion."""
+    Cfield = rank_one_curvature(gradient_squared_form(rho, J), J)
+    curv = (-1, -1, +1, -1)
+    if order == 1:
+        rho_f = rho.field()
+        rho2 = field_einsum(",->", rho_f, rho_f, ())
+        return field_einsum(",abcd->abcd", rho2, R, curv) + Cfield.scaled(0.25)
+    if order == 2:
+        inv = rho.reciprocal()
+        inv2 = field_einsum(",->", inv, inv, ()).scaled(0.25)
+        inner = R + field_einsum(",abcd->abcd", inv2, Cfield, curv)
+        E = _dtheta_insertion(dtheta(theta(rho, J)), J)
+        return field_einsum(",abcd->abcd", rho.field(), inner, curv) - E.scaled(0.5)
+    raise ValueError("order must be 1 or 2")
 
 
 def _decay_to_zero(field_obj: TensorField, rays, tol, order):
@@ -572,6 +594,17 @@ def _boundedness_ok(samples, tol: float, order: int, rel: float = 1e-3) -> bool:
     return True
 
 
+def schouten_defect(P: TensorField, rho: DefiningFunction,
+                    conn_hat: ConnectionField,
+                    J: AlmostComplexStructure) -> TensorField:
+    """rho P + (1/(4 rho))(drho x drho + theta x theta) - (1/2) hat-nabla d(rho),
+    the field certify_schouten_asymptotics drives to zero."""
+    lhs = field_einsum(",ab->ab", rho.field(), P, (-1, -1)) \
+        + field_einsum(",ab->ab", rho.reciprocal().scaled(0.25),
+                       gradient_squared_form(rho, J), (-1, -1))
+    return lhs - covariant_derivative(conn_hat, rho.one_form()).scaled(0.5)
+
+
 def certify_schouten_asymptotics(dec: geo.SchoutenDecomposition,
                                  rho: DefiningFunction,
                                  conn_hat: ConnectionField,
@@ -590,18 +623,11 @@ def certify_schouten_asymptotics(dec: geo.SchoutenDecomposition,
     swamp an analytically-bounded component, while genuine 1/rho divergence is
     still detected loudly on the trimmed schedule."""
     rays = list(rays)
-    chart = rho.chart
-    rho_f = rho.field()
-    phi = gradient_squared_form(rho, J)
-    inv_rho4 = geo.scalar_from_expr(chart, fx.const(0.25) / rho.expr)
-    lhs = field_einsum(",ab->ab", rho_f, dec.P, (-1, -1)) \
-        + field_einsum(",ab->ab", inv_rho4, phi, (-1, -1))
-    nabla_hat_drho = covariant_derivative(conn_hat, rho.one_form())
-    defect = lhs - nabla_hat_drho.scaled(0.5)
+    defect = schouten_defect(dec.P, rho, conn_hat, J)
     ok, max_defect, max_err = _decay_to_zero(defect, rays, tol, fit_order)
     beta_ok = True
     pzero_ok = True
-    rho_pminus = field_einsum(",ab->ab", rho_f, dec.P_minus, (-1, -1))
+    rho_pminus = field_einsum(",ab->ab", rho.field(), dec.P_minus, (-1, -1))
     # the trimmed schedule is a prefix of each ray's samples
     kept = [trimmed_ray(ray, boundedness_trim).K + 1 for ray in rays]
     for keep, beta, pminus in zip(kept, along_rays(dec.beta, rays),

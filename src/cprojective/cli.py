@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__
 from . import boundary as bd
 from . import cproj as cp
-from . import examples as ex
 from . import fieldexpr as fx
 from . import geometry as geo
 from . import tractor as tr
@@ -211,7 +210,7 @@ class GeometryContext:
         self.rho = (bd.DefiningFunction(self.chart, cfg["rho_expr"])
                     if cfg["rho_expr"] is not None else None)
         if cfg["metric_source"] == "from-rho":
-            self.g = ex.grho_from_rho(cfg["rho_expr"], self.J)
+            self.g = bd.defining_metric(self.rho, self.J)
         else:
             self.g = geo.tensor_from_exprs(self.chart, cfg["metric_components"],
                                            (-1, -1), 0.0, "g")
@@ -252,14 +251,7 @@ class GeometryContext:
 
     @property
     def sigma(self):
-        def build():
-            tau = self.tau
-            tau_inv = geo.TensorField(self.chart, (), -2.0,
-                                      lambda x, k: tr.jrecip(tau.jet(x, k)),
-                                      "tau_inv")
-            return geo.field_einsum(",ab->ab", tau_inv,
-                                    geo.metric_inverse(self.g), (+1, +1))
-        return self._get("sigma", build)
+        return self._get("sigma", lambda: tr.metric_sigma(self.g, self.tau))
 
     @property
     def rays(self):
@@ -579,22 +571,11 @@ def sweep_rows(ctx: GeometryContext, quantity, ray):
     elif quantity == "rho2R-defect":
         if ctx.C is None:
             raise ConfigError("quantity 'rho2R-defect' needs a constant C")
-        phi = bd.gradient_squared_form(ctx.rho, ctx.J)
-        Cf = bd.rank_one_curvature(phi, ctx.J)
-        rho_f = ctx.rho.field()
-        rho2 = geo.field_einsum(",->", rho_f, rho_f, ())
-        defect = geo.field_einsum(",abcd->abcd", rho2, ctx.R, (-1, -1, +1, -1)) \
-            + Cf.scaled(0.25)
+        defect = bd.curvature_defect(ctx.R, ctx.rho, ctx.J, 1)
         cols = ["max-abs-defect"]
         fn = lambda X: geo.max_abs_per_point(defect.value(X))[:, None]
     elif quantity == "rhoP-defect":
-        phi = bd.gradient_squared_form(ctx.rho, ctx.J)
-        rho_f = ctx.rho.field()
-        inv4 = geo.scalar_from_expr(ctx.chart, fx.const(0.25) / ctx.rho.expr)
-        lhs = geo.field_einsum(",ab->ab", rho_f, ctx.scale.P, (-1, -1)) \
-            + geo.field_einsum(",ab->ab", inv4, phi, (-1, -1))
-        nd = geo.covariant_derivative(ctx.conn_hat, ctx.rho.one_form())
-        defect = lhs - nd.scaled(0.5)
+        defect = bd.schouten_defect(ctx.scale.P, ctx.rho, ctx.conn_hat, ctx.J)
         cols = ["max-abs-defect"]
         fn = lambda X: geo.max_abs_per_point(defect.value(X))[:, None]
     elif quantity == "tau-over-rho":

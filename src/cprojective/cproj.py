@@ -15,6 +15,7 @@ import numpy as np
 
 from . import fieldexpr as fx
 from . import geometry as geo
+from .boundary import DefiningFunction
 from .geometry import (AlmostComplexStructure, ConnectionField, TensorField,
                        covariant_derivative, field_einsum, tensor_constant)
 from .jets import jmul, jtranspose
@@ -62,10 +63,11 @@ def one_form_from_exprs(chart, comps) -> TensorField:
 
 
 def defining_one_form(rho, chart) -> TensorField:
-    """U = d(rho) / (2 rho), the scale change attached to a defining function."""
-    comps = [fx.differentiate(rho, i) / (rho * fx.const(2.0))
-             for i in range(chart.n)]
-    return one_form_from_exprs(chart, comps)
+    """U = d(rho) / (2 rho), the scale change attached to a defining function,
+    as a jet composite of the leaf of the expression rho."""
+    rho_fn = DefiningFunction(chart, rho)
+    return field_einsum(",a->a", rho_fn.reciprocal().scaled(0.5), rho_fn.one_form(),
+                        (-1,))
 
 
 def modified_connection_for_defining_function(conn: ConnectionField, rho,

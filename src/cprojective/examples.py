@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import boundary as bd
 from . import fieldexpr as fx
 from . import geometry as geo
 
@@ -23,54 +24,6 @@ class ExampleGeometry:
     extras: dict = field(default_factory=dict)
 
 
-def gradient_exprs(rho, chart):
-    return [fx.differentiate(rho, i) for i in range(chart.n)]
-
-
-def theta_exprs(rho, J: geo.AlmostComplexStructure):
-    """theta_a = -rho_i J^i_a as expressions."""
-    chart = J.chart
-    drho = gradient_exprs(rho, chart)
-    Jm = J.expr_matrix
-    out = []
-    for a in range(chart.n):
-        acc = fx.const(0.0)
-        for i in range(chart.n):
-            acc = acc - drho[i] * Jm[i, a]
-        out.append(acc)
-    return out
-
-
-def grho_from_rho(rho, J: geo.AlmostComplexStructure) -> geo.TensorField:
-    """Metric from a defining function:
-    g(xi, eta) = (-1/rho^2)(drho(xi) drho(eta) + theta(xi) theta(eta))
-                 + (1/rho) dtheta(xi, J eta)."""
-    chart = J.chart
-    n = chart.n
-    drho = gradient_exprs(rho, chart)
-    theta = theta_exprs(rho, J)
-    dtheta = [[fx.differentiate(theta[b], a) - fx.differentiate(theta[a], b)
-               for b in range(n)] for a in range(n)]
-    Jm = J.expr_matrix
-    inv_rho = fx.const(1.0) / rho
-    inv_rho2 = inv_rho * inv_rho
-    comps = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            had = fx.const(0.0)
-            for i in range(n):
-                had = had + dtheta[a][i] * Jm[i, b]
-            raw = (fx.const(-1.0) * inv_rho2) * (drho[a] * drho[b] + theta[a] * theta[b]) \
-                + inv_rho * had
-            comps[a, b] = raw
-    # symmetrize; exact no-op whenever dtheta is Hermitean
-    sym = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for b in range(n):
-            sym[a, b] = (comps[a, b] + comps[b, a]) * fx.const(0.5)
-    return geo.tensor_from_exprs(chart, sym, (-1, -1), 0.0, "g_rho")
-
-
 def ball_defining_function(chart) -> fx.ScalarExpr:
     terms = " - ".join(f"{name}^2" for name in chart.names)
     return fx.parse_expression(f"1 - {terms}", chart)
@@ -82,7 +35,7 @@ def unit_ball(m: int) -> ExampleGeometry:
     chart = fx.Chart(m)
     J = geo.standard_J(chart)
     rho = ball_defining_function(chart)
-    g = grho_from_rho(rho, J)
+    g = bd.defining_metric(bd.DefiningFunction(chart, rho), J)
     return ExampleGeometry(chart, J, g, rho, "ball", C=-1.0)
 
 
@@ -107,7 +60,7 @@ def perturbed_ball(m: int, eps: float, direction=None,
     elif isinstance(direction, str):
         direction = fx.parse_expression(direction, chart)
     rho = ball_defining_function(chart) * fx.exp(fx.const(eps) * direction)
-    g = grho_from_rho(rho, J)
+    g = bd.defining_metric(bd.DefiningFunction(chart, rho), J)
     geom = ExampleGeometry(chart, J, g, rho, "perturbed-ball", C=-1.0)
     _check_nondegenerate(geom, probe_seed)
     return geom
@@ -147,21 +100,7 @@ def synthetic_variable_J(chart, eps: float = 0.4) -> geo.AlmostComplexStructure:
     """Non-integrable complex structure: the standard J conjugated by a
     point-dependent Cayley rotation in the (y1, x2) plane with angle parameter
     eps*x1.  Rational entries keep it inside the expression grammar."""
-    n = chart.n
-    t = fx.const(eps) * fx.var(chart, 0)
-    one = fx.const(1.0)
-    denom = one + t * t
-    cos_like = (one - t * t) / denom
-    sin_like = (fx.const(2.0) * t) / denom
-    # rotation R in the plane spanned by coordinates 1 (y1) and 2 (x2)
-    R = np.empty((n, n), dtype=object)
-    Rt = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            R[i, j] = fx.const(1.0 if i == j else 0.0)
-            Rt[i, j] = fx.const(1.0 if i == j else 0.0)
-    R[1, 1], R[1, 2], R[2, 1], R[2, 2] = cos_like, -sin_like, sin_like, cos_like
-    Rt[1, 1], Rt[1, 2], Rt[2, 1], Rt[2, 2] = cos_like, sin_like, -sin_like, cos_like
+    R, Rt = cayley_frames(chart, eps)
     J0 = geo.standard_J(chart).expr_matrix
     JR = _expr_matmul(J0, Rt)
     full = _expr_matmul(R, JR)
@@ -185,7 +124,8 @@ def gauge_flat_connection(chart, A, A_inv) -> geo.ConnectionField:
 
 
 def cayley_frames(chart, eps: float = 0.4):
-    """The (A, A^{-1}) pair matching synthetic_variable_J."""
+    """The (A, A^{-1}) pair matching synthetic_variable_J: the rotation R in
+    the plane spanned by coordinates 1 (y1) and 2 (x2) and its transpose."""
     n = chart.n
     t = fx.const(eps) * fx.var(chart, 0)
     one = fx.const(1.0)

@@ -5,10 +5,12 @@ products, quotients, real powers, exp, log, sqrt and negation.  Nodes are
 hash-consed (structurally identical subtrees are the same object), which keeps
 repeated differentiation from blowing up.  Evaluation goes through a Tape: the
 shared DAG of one or more roots recorded once as a straight-line program, then
-replayed over a whole batch of points at once.  Everything downstream
-(metrics, connections, curvature) bottoms out in these trees, so
-differentiation here is exact symbolic rewriting, never a finite-difference
-scheme.
+replayed over a whole batch of points at once.  Only leaf fields are
+expressions (a defining function, an explicit metric or complex structure);
+their derivative arrays come from derivative trees compiled to tapes, exact
+symbolic rewriting and never a finite-difference scheme.  Everything built
+from leaves, the metric of a defining function included, is propagated by
+the jet algebra of :mod:`cprojective.jets`.
 """
 
 from __future__ import annotations

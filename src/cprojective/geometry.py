@@ -179,13 +179,19 @@ def coordinate_derivative(a: TensorField):
 # -- almost complex structures ---------------------------------------------------
 
 class AlmostComplexStructure:
-    """J as a (1,1) tensor field with J^2 = -id, backed by expressions."""
+    """J as a (1,1) tensor field with J^2 = -id, backed by expressions; a
+    constant J is a constant field, so its jets carry no batch axis and its
+    derivative terms are never evaluated point by point."""
 
     def __init__(self, chart, expr_matrix, name="J"):
         self.chart = chart
         self.expr_matrix = np.asarray(expr_matrix, dtype=object)
-        self.field = tensor_from_exprs(chart, self.expr_matrix, (+1, -1), 0.0, name)
         self.is_constant = all(isinstance(e, fx.Const) for e in self.expr_matrix.flat)
+        if self.is_constant:
+            values = np.vectorize(lambda e: e.value, otypes=[float])(self.expr_matrix)
+            self.field = tensor_constant(chart, values, (+1, -1), 0.0, name)
+        else:
+            self.field = tensor_from_exprs(chart, self.expr_matrix, (+1, -1), 0.0, name)
 
     def matrix(self, x):
         return self.field.value(x)

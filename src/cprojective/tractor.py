@@ -230,6 +230,14 @@ def metricity_residual(sigma: TensorField, conn: ConnectionField) -> TensorField
     return tfp(covariant_derivative(conn, sigma), conn.J)
 
 
+def metric_sigma(g: TensorField, tau: TensorField) -> TensorField:
+    """sigma^ab = tau^-1 g^ab (weight -2): the metricity solution of a metric,
+    with tau its weight-2 volume scale (geometry.volume_density_and_tau)."""
+    tau_inv = TensorField(g.chart, (), -2.0, lambda x, k: jrecip(tau.jet(x, k)),
+                          "tau_inv")
+    return field_einsum(",ab->ab", tau_inv, geo.metric_inverse(g), (+1, +1))
+
+
 def splitting_L_sigma(sigma: TensorField, scale: Scale) -> HStarSection:
     """Lift of sigma^ab to the metricity bundle:
     (sigma; -(1/m) nabla_i sigma^ic;

@@ -45,12 +45,8 @@ def ball_rays(ball_rho):
 
 
 @pytest.fixture(scope="session")
-def ball_sigma(ball):
-    _, tau = geo.volume_density_and_tau(ball.g)
-    tau_inv = geo.TensorField(ball.chart, (), -2.0,
-                              lambda x, k: tr.jrecip(tau.jet(x, k)), "tau_inv")
-    return geo.field_einsum(",ab->ab", tau_inv, geo.metric_inverse(ball.g),
-                            (+1, +1))
+def ball_sigma(ball, ball_tau):
+    return tr.metric_sigma(ball.g, ball_tau)
 
 
 @pytest.fixture(scope="session")
@@ -145,3 +141,38 @@ def reference_evaluate(e, x):
         return memo[key]
 
     return rec(e)
+
+
+def reference_grho(rho, J):
+    """The metric of a defining function assembled symbolically, one
+    expression tree per component:
+    g(xi, eta) = (-1/rho^2)(drho(xi) drho(eta) + theta(xi) theta(eta))
+                 + (1/rho) dtheta(xi, J eta), symmetrized;
+    the oracle for boundary.defining_metric, which builds g by jets."""
+    chart = J.chart
+    n = chart.n
+    Jm = J.expr_matrix
+    drho = [fx.differentiate(rho, i) for i in range(n)]
+    theta = []
+    for a in range(n):
+        acc = fx.const(0.0)
+        for i in range(n):
+            acc = acc - drho[i] * Jm[i, a]
+        theta.append(acc)
+    dtheta = [[fx.differentiate(theta[b], a) - fx.differentiate(theta[a], b)
+               for b in range(n)] for a in range(n)]
+    inv_rho = fx.const(1.0) / rho
+    inv_rho2 = inv_rho * inv_rho
+    comps = np.empty((n, n), dtype=object)
+    for a in range(n):
+        for b in range(n):
+            had = fx.const(0.0)
+            for i in range(n):
+                had = had + dtheta[a][i] * Jm[i, b]
+            comps[a, b] = (fx.const(-1.0) * inv_rho2) \
+                * (drho[a] * drho[b] + theta[a] * theta[b]) + inv_rho * had
+    sym = np.empty((n, n), dtype=object)
+    for a in range(n):
+        for b in range(n):
+            sym[a, b] = (comps[a, b] + comps[b, a]) * fx.const(0.5)
+    return geo.tensor_from_exprs(chart, sym, (-1, -1), 0.0, "g_rho_reference")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from cprojective import cli
+from cprojective import fieldexpr as fx
 
 REPO = Path(__file__).resolve().parent.parent
 BALL_CONFIG = REPO / "configs" / "ball.json"
@@ -365,6 +366,36 @@ def test_degenerate_patch_point_partial_report(tmp_path):
     # the pointwise certificates before the boundary stage are still present
     names = [c["name"] for c in report["certificates"]]
     assert "hermitean-metric" in names and "quasi-kahler" in names
+
+
+def test_degenerate_patch_point_error_names_plain_floats(tmp_path):
+    """The error names the point as plain floats, not as numpy scalar reprs."""
+    cfg = json.loads(BALL_CONFIG.read_text())
+    cfg["patch"]["points"] = [[0, 0, 0, 0]]
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "rep.json"
+    code = cli.main(["report", "--config", str(path), "--out", str(out)])
+    assert code == 3
+    assert json.loads(out.read_text())["error"] == (
+        "BoundaryError: defining function has degenerate gradient near "
+        "(0.0, 0.0, 0.0, 0.0)")
+
+
+def test_perturbed_report_interns_few_expression_nodes(tmp_path):
+    """A report for a fresh epsilon differentiates only the one rho leaf:
+    the metric and the defect fields are jet composites of it, so few new
+    expression nodes are interned (and kept for the life of the process)."""
+    base = json.loads(PERTURBED_CONFIG.read_text())
+    out = tmp_path / "rep.json"
+    added = []
+    for eps in ("0.4137", "0.3981"):        # the first report warms up
+        path = tmp_path / f"perturbed-{eps}.json"
+        path.write_text(json.dumps(dict(base, rho=base["rho"].replace("0.4*", f"{eps}*"))))
+        before = len(fx._INTERN)
+        assert cli.main(["report", "--config", str(path), "--out", str(out)]) == 1
+        added.append(len(fx._INTERN) - before)
+    assert added[1] < 3000
 
 
 def test_limits_tau_over_rho(capsys):

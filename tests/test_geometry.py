@@ -47,6 +47,16 @@ def test_standard_J_action():
     assert np.abs(M @ M + np.eye(4)).max() == 0.0
 
 
+def test_constant_J_jets_are_broadcast_over_a_batch():
+    """The metric of a defining function reads J's jets to order k + 1; a
+    constant J hands them out as views, not one evaluated copy per point."""
+    J = geo.standard_J(fx.Chart(3))
+    jet = J.field.jet(np.zeros((9, 6)), 3)
+    assert all(t.shape[0] == 9 and t.strides[0] == 0 for t in jet.terms)
+    assert np.array_equal(jet.terms[0][4], J.constant_matrix)
+    assert not any(t.any() for t in jet.terms[1:])
+
+
 def test_nijenhuis_of_standard_J_vanishes():
     J = geo.standard_J(fx.Chart(2))
     N = geo.nijenhuis(J)
@@ -311,14 +321,17 @@ def complex_ricci_oracle(rho_expr, chart, x):
     return hermitean_to_real(ricci_coeff, chart)
 
 
-def test_ball_metric_matches_complex_hessian_dictionary(ball, ball_points):
-    """g_rho equals -2 times the real metric of the potential -log rho."""
-    chart = ball.chart
-    for x in ball_points[:6]:
-        B = wirtinger_hermitean_coefficients(
-            fx.log(ball.rho), chart, x) * (-1.0)
-        assert np.abs(hermitean_to_real(B, chart) + 0.5 * ball.g.value(x)).max() \
-            < 1e-11
+def test_ball_metric_matches_complex_hessian_dictionary(ball, ball_points, perturbed,
+                                                        perturbed_points):
+    """g_rho equals -2 times the real metric of the potential -log rho, for the
+    ball and for the perturbed ball."""
+    for geom, points in ((ball, ball_points), (perturbed, perturbed_points)):
+        chart = geom.chart
+        for x in points[:6]:
+            B = wirtinger_hermitean_coefficients(
+                fx.log(geom.rho), chart, x) * (-1.0)
+            assert np.abs(hermitean_to_real(B, chart) + 0.5 * geom.g.value(x)).max() \
+                < 1e-11
 
 
 def test_ricci_matches_complex_coordinate_oracle(ball, ball_conn, ball_points):
